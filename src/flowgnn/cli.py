@@ -24,8 +24,8 @@ from .ingest import (FeatureCodec, NUMERIC_FEATURES, SchemaError,
                      read_flow_cache, strip_labels, write_flow_cache,
                      LabelVocabulary, encode_flows, fit_codec)
 from .model import (CompatibilityError, ModelConfig, build_metadata,
-                    configs_from_metadata, init_params, load_checkpoint,
-                    save_checkpoint)
+                    config_from_items, config_items, configs_from_metadata,
+                    init_params, load_checkpoint, save_checkpoint)
 from .pretrain import PretrainCorpus, pretrain, transfer_weights
 from .reports import (run_id_for, write_ablation_csv, write_epoch_log_csv,
                       write_fewshot_csv, write_fewshot_timing_csv,
@@ -39,25 +39,18 @@ EXIT_USAGE = 2
 EXIT_COMPAT = 3
 EXIT_EMPTY = 4
 
+#: fields set from the data (class count) or the top-level `seed` key
+#: rather than from a key of their own
+_NOT_KEYS = ("model.num_classes", "train.seed")
+
 DEFAULTS = {
     "seed": "0",
-    "graph.window_size": "5.0",
-    "graph.window_memory": "5",
-    "graph.flow_memory": "20",
-    "graph.flow_encoding_dim": "30",
-    "graph.window_encoding_dim": "16",
-    "model.num_layers": "2",
-    "model.hidden_size": "128",
-    "model.classifier_layers": "2",
-    "model.classifier_hidden": "128",
-    "model.neighbor_aggregator": "mean",
-    "model.edge_type_aggregator": "sum",
-    "model.activation": "leaky_relu",
-    "train.epochs": "200",
-    "train.lr": "0.001",
-    "train.weighted_loss": "true",
-    "train.batch_size": "1",
-    "train.split": "0.7,0.15,0.15",
+    **{key: value
+       for prefix, cfg in (("graph", GraphBuildConfig()),
+                           ("model", ModelConfig(num_classes=2)),
+                           ("train", TrainConfig()))
+       for key, value in config_items(prefix, cfg).items()
+       if key not in _NOT_KEYS},
     "pretrain.epochs": "50",
     "pretrain.lr": "0.0001",
     "pretrain.negative_ratio": "1.0",
@@ -103,20 +96,11 @@ class RunConfig:
         lines = [f"{k} = {self.provenance[k]}" for k in sorted(self.values)]
         return "\n".join(lines) + "\n"
 
-    def get(self, key: str) -> str:
-        return self.values[key]
-
     def get_int(self, key: str) -> int:
         return int(self.values[key])
 
     def get_float(self, key: str) -> float:
         return float(self.values[key])
-
-    def get_bool(self, key: str) -> bool:
-        value = self.values[key].lower()
-        if value not in ("true", "false"):
-            raise ValueError(f"{key} must be true or false, got {value!r}")
-        return value == "true"
 
     def get_floats(self, key: str) -> tuple[float, ...]:
         return tuple(float(x) for x in self.values[key].split(",") if x)
@@ -129,34 +113,15 @@ class RunConfig:
         return self.get_int("seed")
 
     def graph_config(self) -> GraphBuildConfig:
-        return GraphBuildConfig(
-            window_size=self.get_float("graph.window_size"),
-            window_memory=self.get_int("graph.window_memory"),
-            flow_memory=self.get_int("graph.flow_memory"),
-            flow_encoding_dim=self.get_int("graph.flow_encoding_dim"),
-            window_encoding_dim=self.get_int("graph.window_encoding_dim"))
+        return config_from_items(GraphBuildConfig, "graph", self.values)
 
     def model_config(self, num_classes: int) -> ModelConfig:
-        return ModelConfig(
-            num_classes=num_classes,
-            num_layers=self.get_int("model.num_layers"),
-            hidden_size=self.get_int("model.hidden_size"),
-            classifier_layers=self.get_int("model.classifier_layers"),
-            classifier_hidden=self.get_int("model.classifier_hidden"),
-            neighbor_aggregator=self.get("model.neighbor_aggregator"),
-            edge_type_aggregator=self.get("model.edge_type_aggregator"),
-            activation=self.get("model.activation"))
+        return config_from_items(ModelConfig, "model", self.values,
+                                 num_classes=num_classes)
 
-    def train_config(self, epochs_key="train.epochs",
-                     lr_key="train.lr") -> TrainConfig:
-        split = self.get_floats("train.split")
-        return TrainConfig(
-            epochs=self.get_int(epochs_key),
-            lr=self.get_float(lr_key),
-            weighted_loss=self.get_bool("train.weighted_loss"),
-            seed=self.seed,
-            batch_size=self.get_int("train.batch_size"),
-            split=(split[0], split[1], split[2]))
+    def train_config(self) -> TrainConfig:
+        return config_from_items(TrainConfig, "train", self.values,
+                                 seed=self.seed)
 
 
 def resolve_config(config_path: str | None, overrides: dict,
@@ -237,14 +202,30 @@ def _neutral_codec(protocol_vocab: tuple[int, ...]) -> FeatureCodec:
                         tuple(protocol_vocab))
 
 
-def _pretrain_graphs(datasets, graph_config, protocol_vocab):
+def _pretrain_from(config: RunConfig, mode: str, target: str | None,
+                   datasets, model_config: ModelConfig,
+                   graph_config: GraphBuildConfig, protocol_vocab):
+    """Link-prediction pre-training with the `pretrain.*` keys on the
+    label-stripped graphs of `datasets`, (id, cache path, records) triples,
+    each encoded by its own codec with the shared `protocol_vocab`.
+
+    Returns (corpus, graph count, PretrainResult)."""
+    corpus = PretrainCorpus(datasets=tuple((ds, path) for ds, path, _ in
+                                           datasets),
+                            mode=mode, target_dataset=target)
     graphs = []
-    for _, records in datasets:
+    for _, _, records in datasets:
         recs = strip_labels(records)
-        codec = replace(fit_codec(recs), protocol_vocab=tuple(protocol_vocab))
+        codec = replace(fit_codec(recs), protocol_vocab=protocol_vocab)
         graphs.extend(build_temporal_graphs(recs, graph_config,
                                             encode_flows(recs, codec)))
-    return graphs
+    result = pretrain(corpus, graphs, model_config, graph_config,
+                      _neutral_codec(protocol_vocab).feature_dim,
+                      epochs=config.get_int("pretrain.epochs"),
+                      lr=config.get_float("pretrain.lr"),
+                      negative_ratio=config.get_float("pretrain.negative_ratio"),
+                      seed=config.seed)
+    return corpus, len(graphs), result
 
 
 def cmd_pretrain(args) -> int:
@@ -255,22 +236,16 @@ def cmd_pretrain(args) -> int:
     })
     out_dir = Path(args.out_dir)
     run_id = run_id_for(config.text(), config.seed)
-    datasets = [(Path(p).stem, read_flow_cache(p)) for p in args.cache]
-    corpus = PretrainCorpus(
-        datasets=tuple((ds_id, p) for (ds_id, _), p in zip(datasets, args.cache)),
-        mode=args.mode, target_dataset=args.target_dataset)
-    graph_config = config.graph_config()
-    protocol_vocab = tuple(sorted({r.protocol for _, recs in datasets
+    datasets = [(Path(p).stem, p, read_flow_cache(p)) for p in args.cache]
+    protocol_vocab = tuple(sorted({r.protocol for _, _, recs in datasets
                                    for r in recs}))
-    graphs = _pretrain_graphs(datasets, graph_config, protocol_vocab)
-    codec = _neutral_codec(protocol_vocab)
+    graph_config = config.graph_config()
     model_config = config.model_config(num_classes=2)
-    result = pretrain(corpus, graphs, model_config, graph_config,
-                      codec.feature_dim, epochs=config.get_int("pretrain.epochs"),
-                      lr=config.get_float("pretrain.lr"),
-                      negative_ratio=config.get_float("pretrain.negative_ratio"),
-                      seed=config.seed)
-    metadata = build_metadata(model_config, graph_config, codec,
+    corpus, n_graphs, result = _pretrain_from(
+        config, args.mode, args.target_dataset, datasets, model_config,
+        graph_config, protocol_vocab)
+    metadata = build_metadata(model_config, graph_config,
+                              _neutral_codec(protocol_vocab),
                               LabelVocabulary(("Benign",)), extra={
                                   "checkpoint.kind": "pretrain",
                                   "pretrain.manifest":
@@ -285,7 +260,7 @@ def cmd_pretrain(args) -> int:
     (out_dir / f"manifest-{run_id}.txt").write_text(corpus.manifest_text(),
                                                     encoding="utf-8")
     final = result.log[-1]
-    print(f"pretrained {len(graphs)} graphs, final loss "
+    print(f"pretrained {n_graphs} graphs, final loss "
           f"{final['loss']:.4f} acc {final['accuracy']:.3f} -> {ckpt}")
     return EXIT_OK
 
@@ -347,8 +322,9 @@ def cmd_finetune(args) -> int:
     base_model, graph_config, base_codec, _ = configs_from_metadata(meta)
     records, vocab = _load_labeled_cache(args.cache)
     model_config = replace(base_model, num_classes=max(2, vocab.num_classes))
-    train_config = config.train_config(epochs_key="finetune.epochs",
-                                       lr_key="finetune.lr")
+    train_config = replace(config.train_config(),
+                           epochs=config.get_int("finetune.epochs"),
+                           lr=config.get_float("finetune.lr"))
     data = prepare_splits(records, vocab, graph_config, train_config.split,
                           protocol_vocab=base_codec.protocol_vocab)
     params = transfer_weights(base_params, model_config, graph_config,
@@ -404,7 +380,9 @@ def cmd_ablate(args) -> int:
     data = prepare_splits(records, vocab, graph_config, train_config.split)
     results = ablation_suite(data, model_config, graph_config, train_config,
                              pretrain_epochs=config.get_int("pretrain.epochs"),
-                             pretrain_lr=config.get_float("pretrain.lr"))
+                             pretrain_lr=config.get_float("pretrain.lr"),
+                             negative_ratio=config.get_float(
+                                 "pretrain.negative_ratio"))
     out_dir = Path(args.out_dir)
     _echo_config(config, out_dir, run_id)
     write_ablation_csv(results, out_dir / f"ablation-{run_id}.csv")
@@ -428,43 +406,28 @@ def cmd_fewshot(args) -> int:
     train_config = config.train_config()
     modes = config.get_strs("fewshot.modes")
 
-    ooc_datasets = [(Path(p).stem, read_flow_cache(p))
+    ooc_datasets = [(Path(p).stem, p, read_flow_cache(p))
                     for p in args.pretrain_cache or []]
     if "out-of-context" in modes and not ooc_datasets:
         raise ValueError("out-of-context mode requires --pretrain-cache")
     protocols = {r.protocol for r in records}
-    for _, recs in ooc_datasets:
+    for _, _, recs in ooc_datasets:
         protocols |= {r.protocol for r in recs}
     protocol_vocab = tuple(sorted(protocols))
     data = prepare_splits(records, vocab, graph_config, train_config.split,
                           protocol_vocab=protocol_vocab)
     feature_dim = data.codec.feature_dim
 
-    bases: dict[str, dict | None] = {"none": None}
-    pre_epochs = config.get_int("pretrain.epochs")
-    pre_lr = config.get_float("pretrain.lr")
-    ratio = config.get_float("pretrain.negative_ratio")
     target_id = Path(args.cache).stem
-    if "in-context" in modes:
-        corpus = PretrainCorpus(datasets=((target_id, args.cache),),
-                                mode="in-context", target_dataset=target_id)
-        # the target network's own unlabeled traffic, labels stripped
-        in_graphs = _pretrain_graphs([(target_id, records)], graph_config,
-                                     protocol_vocab)
-        bases["in-context"] = pretrain(
-            corpus, in_graphs, model_config, graph_config, feature_dim,
-            epochs=pre_epochs, lr=pre_lr, negative_ratio=ratio,
-            seed=config.seed).params
-    if "out-of-context" in modes:
-        corpus = PretrainCorpus(
-            datasets=tuple((ds, p) for (ds, _), p in
-                           zip(ooc_datasets, args.pretrain_cache)),
-            mode="out-of-context", target_dataset=target_id)
-        graphs = _pretrain_graphs(ooc_datasets, graph_config, protocol_vocab)
-        bases["out-of-context"] = pretrain(
-            corpus, graphs, model_config, graph_config, feature_dim,
-            epochs=pre_epochs, lr=pre_lr, negative_ratio=ratio,
-            seed=config.seed).params
+    # in-context: the target network's own unlabeled traffic
+    corpora = {"in-context": [(target_id, args.cache, records)],
+               "out-of-context": ooc_datasets}
+    bases: dict[str, dict | None] = {"none": None}
+    for mode, datasets in corpora.items():
+        if mode in modes:
+            bases[mode] = _pretrain_from(config, mode, target_id, datasets,
+                                         model_config, graph_config,
+                                         protocol_vocab)[2].params
 
     reference = config.get_float("fewshot.reference_score")
     if reference <= 0:
@@ -482,7 +445,7 @@ def cmd_fewshot(args) -> int:
                        modes=modes,
                        epochs=config.get_int("finetune.epochs"),
                        lr=config.get_float("finetune.lr"),
-                       weighted_loss=config.get_bool("train.weighted_loss"))
+                       weighted_loss=train_config.weighted_loss)
     rows = fewshot(plan, bases, data, model_config, graph_config, config.seed)
     out_dir = Path(args.out_dir)
     _echo_config(config, out_dir, run_id)

@@ -77,7 +77,8 @@ def prepare_splits(records: Sequence[FlowRecord], vocab: LabelVocabulary,
 
 def ablation_suite(data: ExperimentData, model_config: ModelConfig,
                    graph_config: GraphBuildConfig, train_config: TrainConfig,
-                   pretrain_epochs: int = 30, pretrain_lr: float = 0.0001) \
+                   pretrain_epochs: int = 30, pretrain_lr: float = 0.0001,
+                   negative_ratio: float = 1.0) \
         -> list[tuple[str, MetricsReport]]:
     """Three runs on identical seeds and splits: (a) spatial-only graphs,
     (b) full temporal graphs, (c) temporal graphs fine-tuned from an
@@ -105,7 +106,7 @@ def ablation_suite(data: ExperimentData, model_config: ModelConfig,
                             mode="in-context", target_dataset="target")
     pre = pretrain(corpus, data.train_graphs, model_config, graph_config,
                    feature_dim, epochs=pretrain_epochs, lr=pretrain_lr,
-                   seed=train_config.seed)
+                   negative_ratio=negative_ratio, seed=train_config.seed)
     transferred = transfer_weights(pre.params, model_config, graph_config,
                                    feature_dim,
                                    Rng(train_config.seed).child("ablation"))

@@ -16,8 +16,10 @@ target-window flow states feed a small MLP classifier.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,7 +32,6 @@ from .windows import (GraphBuildConfig, SPATIAL_EDGE_TYPES, TEMPORAL_EDGE_TYPES,
                       TemporalGraph, cyclical_encode)
 
 NEIGHBOR_AGGREGATORS = ("sum", "mean", "max")
-EDGE_TYPE_AGGREGATORS = ("sum",)
 
 
 class CompatibilityError(ValueError):
@@ -45,7 +46,6 @@ class ModelConfig:
     classifier_layers: int = 2
     classifier_hidden: int = 128
     neighbor_aggregator: str = "mean"
-    edge_type_aggregator: str = "sum"
     activation: str = "leaky_relu"
 
     def __post_init__(self):
@@ -58,8 +58,6 @@ class ModelConfig:
         if self.neighbor_aggregator not in NEIGHBOR_AGGREGATORS:
             raise ValueError(f"neighbor_aggregator must be one of "
                              f"{NEIGHBOR_AGGREGATORS}")
-        if self.edge_type_aggregator not in EDGE_TYPE_AGGREGATORS:
-            raise ValueError("edge_type_aggregator must be 'sum'")
         if self.activation not in T.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -376,6 +374,52 @@ def parse_metadata(text: str) -> dict[str, str]:
     return meta
 
 
+def _config_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _parse_config_text(key: str, text: str, kind):
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false, got {text!r}")
+        return text.lower() == "true"
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(_parse_config_text(key, x.strip(), item)
+                     for x in text.split(",") if x.strip())
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {kind.__name__}, got {text!r}") from None
+
+
+def config_items(prefix: str, cfg) -> dict[str, str]:
+    """One `prefix.field: text` item per field of a config dataclass; the
+    form of config values in config files and checkpoint metadata."""
+    return {f"{prefix}.{f.name}": _config_text(getattr(cfg, f.name))
+            for f in fields(cfg)}
+
+
+def config_from_items(cls, prefix: str, items: Mapping[str, str], **given):
+    """Inverse of `config_items`: each field not in `given` is parsed from
+    its `prefix.field` item by its declared type. Other items are ignored;
+    a missing one raises CompatibilityError naming the key."""
+    hints = typing.get_type_hints(cls)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = f"{prefix}.{f.name}"
+        if key not in items:
+            raise CompatibilityError(f"missing config key {key!r}")
+        values[f.name] = _parse_config_text(key, items[key], hints[f.name])
+    return cls(**values)
+
+
 def save_checkpoint(params: Mapping[str, Tensor], metadata: Mapping[str, str],
                     path: str | Path) -> None:
     """Bit-exact round trip: little-endian magic, version, length-prefixed
@@ -396,35 +440,45 @@ def save_checkpoint(params: Mapping[str, Tensor], metadata: Mapping[str, str],
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]]:
-    buf = Path(path).read_bytes()
-    if buf[:4] != CHECKPOINT_MAGIC:
+    """Inverse of `save_checkpoint`. A file that ends early, has a length
+    field pointing past its end, or has bytes after the last tensor raises
+    ValueError with the byte offset."""
+    buf = memoryview(Path(path).read_bytes())
+    offset = 0
+
+    def take(size: int) -> memoryview:
+        nonlocal offset
+        if offset + size > len(buf):
+            raise ValueError(f"{path}: truncated checkpoint: {size} bytes "
+                             f"needed at offset {offset}, file ends at "
+                             f"{len(buf)}")
+        offset += size
+        return buf[offset - size:offset]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", buf, 4)
+    (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<Q", buf, 8)
-    offset = 16
-    metadata = parse_metadata(buf[offset:offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    (meta_len,) = unpack("<Q")
+    metadata = parse_metadata(str(take(meta_len), "utf-8"))
+    (count,) = unpack("<I")
     params: dict[str, Tensor] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        dtype, rank = struct.unpack_from("<BB", buf, offset)
-        offset += 2
+        (name_len,) = unpack("<H")
+        name = str(take(name_len), "utf-8")
+        dtype, rank = unpack("<BB")
         if dtype != _DTYPE_F64:
             raise ValueError(f"{path}: unknown dtype tag {dtype} for {name!r}")
-        dims = struct.unpack_from(f"<{rank}Q", buf, offset)
-        offset += 8 * rank
-        size = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(buf, dtype="<f8", count=size,
-                             offset=offset).reshape(dims).copy()
-        offset += 8 * size
-        params[name] = Tensor(data)
+        dims = unpack(f"<{rank}Q")
+        data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+        params[name] = Tensor(data.reshape(dims).copy())
+    if offset != len(buf):
+        raise ValueError(f"{path}: {len(buf) - offset} trailing bytes after "
+                         f"offset {offset}")
     return params, metadata
 
 
@@ -433,19 +487,8 @@ def build_metadata(model_config: ModelConfig, graph_config: GraphBuildConfig,
                    extra: Mapping[str, str] | None = None) -> dict[str, str]:
     meta = {
         "format": "flowgnn-checkpoint",
-        "model.num_classes": str(model_config.num_classes),
-        "model.num_layers": str(model_config.num_layers),
-        "model.hidden_size": str(model_config.hidden_size),
-        "model.classifier_layers": str(model_config.classifier_layers),
-        "model.classifier_hidden": str(model_config.classifier_hidden),
-        "model.neighbor_aggregator": model_config.neighbor_aggregator,
-        "model.edge_type_aggregator": model_config.edge_type_aggregator,
-        "model.activation": model_config.activation,
-        "graph.window_size": repr(graph_config.window_size),
-        "graph.window_memory": str(graph_config.window_memory),
-        "graph.flow_memory": str(graph_config.flow_memory),
-        "graph.flow_encoding_dim": str(graph_config.flow_encoding_dim),
-        "graph.window_encoding_dim": str(graph_config.window_encoding_dim),
+        **config_items("model", model_config),
+        **config_items("graph", graph_config),
         "codec.hash": codec.digest(),
         "codec.json": codec.to_json(),
         "vocab.classes": json.dumps(list(vocab.classes)),
@@ -457,23 +500,8 @@ def build_metadata(model_config: ModelConfig, graph_config: GraphBuildConfig,
 
 def configs_from_metadata(meta: Mapping[str, str]) \
         -> tuple[ModelConfig, GraphBuildConfig, FeatureCodec, LabelVocabulary]:
-    model_config = ModelConfig(
-        num_classes=int(meta["model.num_classes"]),
-        num_layers=int(meta["model.num_layers"]),
-        hidden_size=int(meta["model.hidden_size"]),
-        classifier_layers=int(meta["model.classifier_layers"]),
-        classifier_hidden=int(meta["model.classifier_hidden"]),
-        neighbor_aggregator=meta["model.neighbor_aggregator"],
-        edge_type_aggregator=meta["model.edge_type_aggregator"],
-        activation=meta["model.activation"],
-    )
-    graph_config = GraphBuildConfig(
-        window_size=float(meta["graph.window_size"]),
-        window_memory=int(meta["graph.window_memory"]),
-        flow_memory=int(meta["graph.flow_memory"]),
-        flow_encoding_dim=int(meta["graph.flow_encoding_dim"]),
-        window_encoding_dim=int(meta["graph.window_encoding_dim"]),
-    )
+    model_config = config_from_items(ModelConfig, "model", meta)
+    graph_config = config_from_items(GraphBuildConfig, "graph", meta)
     codec = FeatureCodec.from_json(meta["codec.json"])
     if codec.digest() != meta["codec.hash"]:
         raise CompatibilityError("codec hash mismatch in checkpoint metadata")

@@ -24,10 +24,9 @@ from . import tensor as T
 from .model import (CompatibilityError, GraphArrays, ModelConfig,
                     final_states, init_params, prepare_graph, trunk_names)
 from .tensor import AdamState, Tensor, adam_step, zero_grads
-from .windows import (GraphBuildConfig, INTRA_EDGE_TYPES, SPATIAL_EDGE_TYPES,
+from .windows import (ALL_EDGE_TYPES, GraphBuildConfig, SPATIAL_EDGE_TYPES,
                       TemporalGraph)
 
-ALL_EDGE_TYPES = SPATIAL_EDGE_TYPES + INTRA_EDGE_TYPES + ("inter_ip", "inter_flow")
 PRETRAIN_MODES = ("in-context", "out-of-context")
 
 

@@ -29,12 +29,13 @@ SPATIAL_EDGE_TYPES = ("flow_to_src", "src_to_flow", "flow_to_dst", "dst_to_flow"
 INTRA_EDGE_TYPES = ("intra_src", "intra_dst")
 INTER_EDGE_TYPES = ("inter_ip", "inter_flow")
 TEMPORAL_EDGE_TYPES = INTRA_EDGE_TYPES + INTER_EDGE_TYPES
+ALL_EDGE_TYPES = SPATIAL_EDGE_TYPES + TEMPORAL_EDGE_TYPES
 
 
 @dataclass(frozen=True)
 class GraphBuildConfig:
-    window_size: float
-    window_memory: int
+    window_size: float = 5.0
+    window_memory: int = 5
     flow_memory: int = 20
     flow_encoding_dim: int = 30
     window_encoding_dim: int = 16

@@ -1,8 +1,17 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from conftest import records_to_csv, write_schema
-from flowgnn.cli import main
+from flowgnn import experiments
+from flowgnn.cli import DEFAULTS, main
+from flowgnn.ingest import build_label_vocabulary, fit_codec, read_flow_cache
+from flowgnn.model import (ModelConfig, build_metadata, init_params,
+                           save_checkpoint)
 from flowgnn.synth import temporal_pattern
+from flowgnn.tensor import Rng
+from flowgnn.windows import GraphBuildConfig
 
 FAST = [
     "--set", "model.hidden_size=8",
@@ -24,6 +33,23 @@ def cache(tmp_path):
                  "--out", str(out)])
     assert code == 0
     return out
+
+
+def write_scratch_checkpoint(cache, path, edit_metadata):
+    """An untrained supervised checkpoint matching `cache`, its metadata
+    passed through `edit_metadata` before saving."""
+    records = read_flow_cache(cache)
+    vocab = build_label_vocabulary(records)
+    codec = fit_codec(records)
+    model_config = ModelConfig(num_classes=max(2, vocab.num_classes),
+                               hidden_size=8, classifier_hidden=8)
+    graph_config = GraphBuildConfig(window_memory=2)
+    params = init_params(model_config, codec.feature_dim, graph_config, Rng(0))
+    metadata = build_metadata(model_config, graph_config, codec, vocab,
+                              extra={"checkpoint.kind": "supervised"})
+    edit_metadata(metadata)
+    save_checkpoint(params, metadata, path)
+    return path
 
 
 class TestIngest:
@@ -138,9 +164,28 @@ class TestConfigResolution:
         assert "finetune.lr = default" in provenance
         assert "finetune.lr = 0.01" in text
 
-    def test_unknown_config_key_exit_two(self, tmp_path, cache):
+    @pytest.mark.parametrize("setting", [
+        pytest.param("nope.key=1", id="unknown-key"),
+        pytest.param("train.split=0.5,0.5", id="short-split"),
+        pytest.param("train.batch_size=x", id="non-integer"),
+        pytest.param("model.neighbor_aggregator=median", id="bad-choice"),
+    ])
+    def test_bad_config_exit_two(self, tmp_path, cache, capsys, setting):
         assert main(["train", "--cache", str(cache), "--out-dir",
-                     str(tmp_path / "o"), "--set", "nope.key=1"]) == 2
+                     str(tmp_path / "o"), "--set", setting]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_readme_table_lists_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md") \
+            .read_text(encoding="utf-8")
+        section = readme.split("## Configuration")[1].split("\n## ")[0]
+        table = {}
+        for row in section.splitlines():
+            cells = row.split("|")
+            if len(cells) == 5 and cells[1].strip().startswith("`"):
+                table.update(zip(re.findall(r"`([^`]+)`", cells[1]),
+                                 re.findall(r"`([^`]*)`", cells[2])))
+        assert table == {k: v for k, v in DEFAULTS.items() if k != "seed"}
 
     def test_unknown_flag_exits_with_usage(self, cache, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -197,6 +242,24 @@ class TestFinetuneEvaluate:
                      str(cache), "--out-dir", str(tmp_path / "e2")])
         assert code == 3
 
+    @pytest.mark.parametrize("key", ["model.num_layers", "graph.flow_memory"])
+    def test_evaluate_missing_metadata_key_exit_three(self, tmp_path, cache,
+                                                      capsys, key):
+        ckpt = write_scratch_checkpoint(cache, tmp_path / "old.pptg",
+                                        lambda meta: meta.pop(key))
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--cache",
+                     str(cache), "--out-dir", str(tmp_path / "e")])
+        assert code == 3
+        assert key in capsys.readouterr().err
+
+    def test_evaluate_ignores_removed_edge_type_aggregator_key(self, tmp_path,
+                                                               cache):
+        ckpt = write_scratch_checkpoint(
+            cache, tmp_path / "old.pptg",
+            lambda meta: meta.update({"model.edge_type_aggregator": "sum"}))
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--cache",
+                     str(cache), "--out-dir", str(tmp_path / "e")]) == 0
+
 
 class TestHarnessCommands:
     def test_ablate_emits_three_variant_rows(self, tmp_path, cache):
@@ -208,6 +271,21 @@ class TestHarnessCommands:
         assert rows[1].startswith("spatial_only,")
         assert rows[2].startswith("temporal,")
         assert rows[3].startswith("pretrained,")
+
+    def test_ablate_passes_negative_ratio(self, tmp_path, cache,
+                                          monkeypatch):
+        real_pretrain = experiments.pretrain
+        ratios = []
+
+        def recording_pretrain(*args, **kwargs):
+            ratios.append(kwargs.get("negative_ratio"))
+            return real_pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "pretrain", recording_pretrain)
+        assert main(["ablate", "--cache", str(cache), "--out-dir",
+                     str(tmp_path / "abl"), "--seed", "1", *FAST,
+                     "--set", "pretrain.negative_ratio=2"]) == 0
+        assert ratios == [2.0]
 
     def test_fewshot_row_per_fraction_mode(self, tmp_path, cache):
         out_dir = tmp_path / "fs"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from conftest import mk_flow, sort_flows
 from flowgnn import tensor as T
 from flowgnn.ingest import LabelVocabulary, encode_flows, fit_codec
 from flowgnn.model import (CompatibilityError, ModelConfig, build_metadata,
-                           check_encoder_compat, configs_from_metadata,
+                           check_encoder_compat, config_from_items,
+                           config_items, configs_from_metadata,
                            forward, forward_prepared, init_node_states,
                            init_params, load_checkpoint, prepare_graph,
                            save_checkpoint, spatial_step, temporal_step)
 from flowgnn.tensor import Rng, Tensor
+from flowgnn.training import TrainConfig
 from flowgnn.windows import GraphBuildConfig, build_temporal_graphs
 
 HID = 6
@@ -335,3 +339,37 @@ class TestCheckpoint:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_every_truncation_names_offset(self, tmp_path):
+        path = tmp_path / "one.pptg"
+        save_checkpoint({"w": Tensor(np.arange(3.0))}, {"k": "v"}, path)
+        raw = path.read_bytes()
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(ValueError, match=f"file ends at {end}"):
+                load_checkpoint(path)
+
+    def test_length_overrun_and_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "one.pptg"
+        save_checkpoint({"w": Tensor(np.arange(3.0))}, {"k": "v"}, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<Q", 1 << 40) + raw[16:])
+        with pytest.raises(ValueError, match="at offset 16"):
+            load_checkpoint(path)
+        path.write_bytes(raw + b"\x00\x00")
+        with pytest.raises(ValueError, match=f"2 trailing bytes after offset "
+                                             f"{len(raw)}"):
+            load_checkpoint(path)
+
+
+def test_config_items_round_trip():
+    config = TrainConfig(epochs=3, lr=0.25, weighted_loss=False, seed=9,
+                         batch_size=4, split=(0.5, 0.25, 0.25))
+    items = config_items("train", config)
+    assert items["train.weighted_loss"] == "false"
+    assert items["train.split"] == "0.5,0.25,0.25"
+    assert config_from_items(TrainConfig, "train", items) == config
+    assert config_from_items(TrainConfig, "train", items, seed=1).seed == 1
+    with pytest.raises(ValueError, match="train.batch_size"):
+        config_from_items(TrainConfig, "train",
+                          {**items, "train.batch_size": "x"})
