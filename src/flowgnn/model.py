@@ -11,6 +11,11 @@ one incoming e-edge receives
 and the per-type results are summed across edge types before the
 non-linearity. Nodes untouched by a step pass through unchanged. Final
 target-window flow states feed a small MLP classifier.
+
+Aggregation runs on per-graph sparse operators: `prepare_graph` builds, once
+per graph and edge type, a CSR matrix summing in-neighbour states into each
+destination row (plus its transpose for the backward pass), and both W
+products are taken on destination rows only.
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ import numpy as np
 from . import tensor as T
 from .ingest import FeatureCodec, LabelVocabulary
 from .tensor import Tensor
-from .windows import (GraphBuildConfig, SPATIAL_EDGE_TYPES, TEMPORAL_EDGE_TYPES,
-                      TemporalGraph, cyclical_encode)
+from .windows import (GraphBuildConfig, INTRA_EDGE_TYPES, SPATIAL_EDGE_TYPES,
+                      TEMPORAL_EDGE_TYPES, TemporalGraph, cyclical_encode)
+
+if typing.TYPE_CHECKING:
+    from scipy import sparse
 
 NEIGHBOR_AGGREGATORS = ("sum", "mean", "max")
 
@@ -67,8 +75,47 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
+class EdgeOperator:
+    """Sum aggregation over one edge type's edges, for `T.spmm`.
+
+    `matrix` is the (len(rows), n) CSR matrix whose row i sums the states of
+    the in-neighbours of node rows[i], in edge order; `transpose` is its
+    (n, len(rows)) CSR transpose for the backward pass.
+    """
+
+    rows: np.ndarray            # sorted distinct destination rows
+    matrix: sparse.csr_array
+    transpose: sparse.csr_array
+    degree: np.ndarray          # in-degree of each row, float64
+
+
+def _sum_matrix(row: np.ndarray, col: np.ndarray, shape) -> sparse.csr_array:
+    """CSR matrix with one entry 1 at (row[e], col[e]) per edge e; each row
+    keeps its entries in edge order, so it sums them in that order."""
+    # imported on first use: it doubles the import time of this module, and
+    # commands that build no graph (ingest) do not need it
+    from scipy import sparse
+
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_array((np.ones(len(row)),
+                             col[np.argsort(row, kind="stable")], indptr),
+                            shape=shape)
+
+
+def edge_operator(src: np.ndarray, dst: np.ndarray,
+                  num_nodes: int) -> EdgeOperator:
+    rows, slot, degree = np.unique(dst, return_inverse=True,
+                                   return_counts=True)
+    return EdgeOperator(rows, _sum_matrix(slot, src, (len(rows), num_nodes)),
+                        _sum_matrix(src, slot, (num_nodes, len(rows))),
+                        degree.astype(np.float64))
+
+
+@dataclass(frozen=True)
 class GraphArrays:
-    """A TemporalGraph flattened to global node indices and edge arrays.
+    """A TemporalGraph flattened to global node indices and edge arrays,
+    with each edge type's aggregation operator.
 
     Flow nodes occupy rows [0, n_flows), IP nodes [n_flows, n_flows+n_ips).
     Pure function of (graph, graph config); prepare once, reuse per epoch.
@@ -79,12 +126,19 @@ class GraphArrays:
     flow_input: np.ndarray      # features || flow cyclical encoding
     ip_input: np.ndarray        # ones || window cyclical encoding
     edges: dict                 # edge type -> (src rows, dst rows)
+    operators: dict             # edge type -> EdgeOperator
     target_rows: np.ndarray
     target_flow_ids: tuple[int, ...]
 
     @property
     def num_nodes(self) -> int:
         return self.n_flows + self.n_ips
+
+
+# (source, destination) node kind of each per-window edge type
+_ENDPOINT_KINDS = {"flow_to_src": ("flow", "ip"), "src_to_flow": ("ip", "flow"),
+                   "flow_to_dst": ("flow", "ip"), "dst_to_flow": ("ip", "flow"),
+                   "intra_src": ("flow", "flow"), "intra_dst": ("flow", "flow")}
 
 
 def prepare_graph(graph: TemporalGraph,
@@ -100,17 +154,16 @@ def prepare_graph(graph: TemporalGraph,
 
     feat_rows, cyc_rows = [], []
     for snap in graph.snapshots:
-        period = max(1, snap.num_flows)
-        for node in snap.flow_nodes:
-            feat_rows.append(node.features)
-            cyc_rows.append(cyclical_encode(node.ordinal, period,
-                                            graph_config.flow_encoding_dim))
+        feat_rows.extend(node.features for node in snap.flow_nodes)
+        cyc_rows.append(cyclical_encode(
+            np.array([node.ordinal for node in snap.flow_nodes], dtype=np.int64),
+            max(1, snap.num_flows), graph_config.flow_encoding_dim))
     if feat_rows:
         feature_dim = len(feat_rows[0])
         if any(len(r) != feature_dim for r in feat_rows):
             raise ValueError("inconsistent flow feature dimensions in graph")
         flow_input = np.concatenate([np.asarray(feat_rows, dtype=np.float64),
-                                     np.asarray(cyc_rows)], axis=1)
+                                     np.concatenate(cyc_rows)], axis=1)
     else:
         flow_input = np.zeros((0, graph_config.flow_encoding_dim))
 
@@ -120,53 +173,35 @@ def prepare_graph(graph: TemporalGraph,
         age = target_global - snap.window_index
         enc = cyclical_encode(age, graph_config.window_memory,
                               graph_config.window_encoding_dim)
-        for _ in snap.ip_nodes:
-            ip_rows.append(np.concatenate([[1.0], enc]))
-    ip_input = np.asarray(ip_rows) if ip_rows \
+        ip_rows.append(np.tile(np.concatenate([[1.0], enc]), (snap.num_ips, 1)))
+    ip_input = np.concatenate(ip_rows) if ip_rows \
         else np.zeros((0, 1 + graph_config.window_encoding_dim))
 
+    # global row of each window's first flow / first IP
+    base = {"flow": np.asarray(flow_base, dtype=np.int64),
+            "ip": n_flows + np.asarray(ip_base, dtype=np.int64)}
     edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def put(etype, pairs):
-        if pairs:
-            src, dst = zip(*pairs)
-            edges[etype] = (np.asarray(src, dtype=np.int64),
-                            np.asarray(dst, dtype=np.int64))
-        else:
-            edges[etype] = (np.zeros(0, dtype=np.int64),
-                            np.zeros(0, dtype=np.int64))
-
-    flow_g = lambda w, i: flow_base[w] + i
-    ip_g = lambda w, i: n_flows + ip_base[w] + i
-
-    spatial: dict[str, list] = {e: [] for e in SPATIAL_EDGE_TYPES}
-    intra: dict[str, list] = {"intra_src": [], "intra_dst": []}
-    for w, snap in enumerate(graph.snapshots):
-        for f, i in snap.flow_to_src:
-            spatial["flow_to_src"].append((flow_g(w, f), ip_g(w, i)))
-        for i, f in snap.src_to_flow:
-            spatial["src_to_flow"].append((ip_g(w, i), flow_g(w, f)))
-        for f, i in snap.flow_to_dst:
-            spatial["flow_to_dst"].append((flow_g(w, f), ip_g(w, i)))
-        for i, f in snap.dst_to_flow:
-            spatial["dst_to_flow"].append((ip_g(w, i), flow_g(w, f)))
-        for a, b in snap.intra_src:
-            intra["intra_src"].append((flow_g(w, a), flow_g(w, b)))
-        for a, b in snap.intra_dst:
-            intra["intra_dst"].append((flow_g(w, a), flow_g(w, b)))
-    for etype, pairs in {**spatial, **intra}.items():
-        put(etype, pairs)
-    put("inter_ip", [(ip_g(a, i), ip_g(b, j))
-                     for (a, i), (b, j) in graph.inter_ip_edges])
-    put("inter_flow", [(flow_g(a, i), flow_g(b, j))
-                       for (a, i), (b, j) in graph.inter_flow_edges])
+    for etype in SPATIAL_EDGE_TYPES + INTRA_EDGE_TYPES:
+        src_kind, dst_kind = _ENDPOINT_KINDS[etype]
+        pairs = np.concatenate(
+            [np.asarray(getattr(snap, etype), dtype=np.int64).reshape(-1, 2)
+             + (base[src_kind][w], base[dst_kind][w])
+             for w, snap in enumerate(graph.snapshots)])
+        edges[etype] = (pairs[:, 0].copy(), pairs[:, 1].copy())
+    for etype, kind, inter in (("inter_ip", "ip", graph.inter_ip_edges),
+                               ("inter_flow", "flow", graph.inter_flow_edges)):
+        a, i, b, j = np.asarray(inter, dtype=np.int64).reshape(-1, 4).T
+        edges[etype] = (base[kind][a] + i, base[kind][b] + j)
 
     target = graph.snapshots[graph.target_index]
-    target_rows = np.asarray([flow_g(graph.target_index, i)
-                              for i in range(target.num_flows)], dtype=np.int64)
+    target_rows = flow_base[graph.target_index] + np.arange(target.num_flows,
+                                                            dtype=np.int64)
+    operators = {etype: edge_operator(src, dst, n_flows + n_ips)
+                 for etype, (src, dst) in edges.items()}
     return GraphArrays(
         n_flows=n_flows, n_ips=n_ips,
         flow_input=flow_input, ip_input=ip_input, edges=edges,
+        operators=operators,
         target_rows=target_rows,
         target_flow_ids=tuple(n.flow_id for n in target.flow_nodes),
     )
@@ -255,26 +290,36 @@ def init_node_states(arrays: GraphArrays, params: Mapping[str, Tensor],
     return T.concat_rows([flow_h, ip_h])
 
 
+def _aggregate(states: Tensor, edges, op: EdgeOperator,
+               aggregator: str) -> Tensor:
+    """In-neighbour states aggregated per destination row of `op`."""
+    if aggregator == "max":
+        src, dst = edges
+        return T.segment_max(T.gather_rows(states, src),
+                             np.searchsorted(op.rows, dst), len(op.rows))
+    total = T.spmm(op, states)
+    return total if aggregator == "sum" else T.div_const(total, op.degree[:, None])
+
+
 def _hetero_step(states: Tensor, arrays: GraphArrays,
                  params: Mapping[str, Tensor], layer: int, phase: str,
                  etypes: Sequence[str], config: ModelConfig) -> Tensor:
     n = arrays.num_nodes
-    reduce = T.SEGMENT_REDUCERS[config.neighbor_aggregator]
     contrib: Tensor | None = None
     touched = np.zeros(n, dtype=bool)
     for etype in etypes:
-        src, dst = arrays.edges[etype]
-        if len(src) == 0:
+        op = arrays.operators[etype]
+        if len(op.rows) == 0:
             continue
         w1 = params[f"layer{layer}.{phase}.{etype}.W1"]
         w2 = params[f"layer{layer}.{phase}.{etype}.W2"]
-        neigh = reduce(T.gather_rows(states, src), dst, n)
-        mask = np.zeros(n)
-        mask[dst] = 1.0
-        term = T.mul_const(T.add(T.matmul(states, w1), T.matmul(neigh, w2)),
-                           mask[:, None])
+        own = T.take_rows(states, op.rows)
+        neigh = _aggregate(states, arrays.edges[etype], op,
+                           config.neighbor_aggregator)
+        term = T.put_rows(T.add(T.matmul(own, w1), T.matmul(neigh, w2)),
+                          op.rows, n)
         contrib = term if contrib is None else T.add(contrib, term)
-        touched |= mask.astype(bool)
+        touched[op.rows] = True
     if contrib is None:
         return states
     act = T.ACTIVATIONS[config.activation]
@@ -500,8 +545,19 @@ def build_metadata(model_config: ModelConfig, graph_config: GraphBuildConfig,
 
 def configs_from_metadata(meta: Mapping[str, str]) \
         -> tuple[ModelConfig, GraphBuildConfig, FeatureCodec, LabelVocabulary]:
-    model_config = config_from_items(ModelConfig, "model", meta)
-    graph_config = config_from_items(GraphBuildConfig, "graph", meta)
+    """Configs, codec and vocabulary recorded in checkpoint metadata. A
+    missing key, or a malformed `model.*`/`graph.*` value, raises
+    CompatibilityError naming it."""
+    for key in ("codec.json", "codec.hash", "vocab.classes"):
+        if key not in meta:
+            raise CompatibilityError(f"missing metadata key {key!r}")
+    try:
+        model_config = config_from_items(ModelConfig, "model", meta)
+        graph_config = config_from_items(GraphBuildConfig, "graph", meta)
+    except CompatibilityError:
+        raise
+    except ValueError as exc:
+        raise CompatibilityError(f"checkpoint metadata: {exc}") from exc
     codec = FeatureCodec.from_json(meta["codec.json"])
     if codec.digest() != meta["codec.hash"]:
         raise CompatibilityError("codec hash mismatch in checkpoint metadata")

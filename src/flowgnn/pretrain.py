@@ -69,18 +69,17 @@ class PretrainCorpus:
         return "\n".join(lines) + "\n"
 
 
-def sample_negatives(graph: TemporalGraph, ratio: float, rng: T.Rng,
-                     graph_config: GraphBuildConfig,
-                     max_attempts: int = 100) -> LinkPredTask:
+def sample_negatives(graph: TemporalGraph, arrays: GraphArrays, ratio: float,
+                     rng: T.Rng, max_attempts: int = 100) -> LinkPredTask:
     """Sample floor(ratio * |positives|) negatives per edge type.
 
     One endpoint of a positive edge is resampled uniformly among nodes of
     the same kind with the same window relationship (same window for
     spatial/intra types, time-ordered windows for inter types). Candidates
     already positive or already sampled are rejected; after `max_attempts`
-    failures per negative the shortfall is recorded instead.
+    failures per negative the shortfall is recorded instead. `arrays` is
+    `prepare_graph(graph, ...)`, whose node indices the edges use.
     """
-    arrays = prepare_graph(graph, graph_config)
     n_flows = arrays.n_flows
 
     flow_window = np.zeros(n_flows, dtype=np.int64)
@@ -250,8 +249,8 @@ def pretrain(corpus: PretrainCorpus, graphs: Sequence[TemporalGraph],
         total_edges = 0
         total_correct = 0.0
         for gi, (arrays, graph) in enumerate(prepared):
-            task = sample_negatives(graph, negative_ratio,
-                                    neg_rng.child(f"{epoch}:{gi}"), graph_config)
+            task = sample_negatives(graph, arrays, negative_ratio,
+                                    neg_rng.child(f"{epoch}:{gi}"))
             zero_grads(params)
             loss, logits, targets = link_pred_loss(arrays, task, params,
                                                    model_config)

@@ -3,7 +3,8 @@ gradients over the fixed set of operations the flow-graph model needs,
 plus losses, the Adam optimizer, a seeded RNG, and a finite-difference
 gradient checker.
 
-Everything is numpy under the hood; gradients are implemented per
+Everything is numpy under the hood, except that `spmm` multiplies by a
+scipy CSR operator the caller builds; gradients are implemented per
 operation on a small tape (parent links + backward closures).
 """
 
@@ -38,10 +39,17 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def _accum(self, g: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """Add `g` into the gradient, or into its `rows` (which must be
+        distinct) when given."""
+        if rows is not None:
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[rows] += g
+        elif self.grad is None:
+            self.grad = np.array(g, dtype=np.float64)  # a copy: updated in place
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""
@@ -111,6 +119,16 @@ def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
     return Tensor(a.data * c, parents=(a,), backward=bw)
 
 
+def div_const(a: Tensor, c: np.ndarray) -> Tensor:
+    """Divide by a non-differentiated constant (per-row degrees)."""
+    c = np.asarray(c, dtype=np.float64)
+
+    def bw(g):
+        a._accum(g / c)
+
+    return Tensor(a.data / c, parents=(a,), backward=bw)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
@@ -177,30 +195,41 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(x.data[idx], parents=(x,), backward=bw)
 
 
-def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
-    """Row i of x is added into output row seg[i]; empty segments are zero."""
-    seg = np.asarray(seg, dtype=np.int64)
-    out = np.zeros((num_segments, x.data.shape[1]))
-    np.add.at(out, seg, x.data)
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """x[rows] for distinct `rows`, so the backward pass writes each
+    gradient row once instead of scatter-adding."""
 
     def bw(g):
-        x._accum(g[seg])
+        x._accum(g, rows)
+
+    return Tensor(x.data[rows], parents=(x,), backward=bw)
+
+
+def put_rows(x: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
+    """A (num_rows, d) tensor holding row i of x at rows[i] (distinct) and
+    zeros elsewhere; the inverse placement of `take_rows`."""
+    out = np.zeros((num_rows,) + x.data.shape[1:])
+    out[rows] = x.data
+
+    def bw(g):
+        x._accum(g[rows])
 
     return Tensor(out, parents=(x,), backward=bw)
 
 
-def segment_mean(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
-    seg = np.asarray(seg, dtype=np.int64)
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    denom = np.maximum(counts, 1.0)
-    out = np.zeros((num_segments, x.data.shape[1]))
-    np.add.at(out, seg, x.data)
-    out /= denom[:, None]
+def spmm(op, x: Tensor) -> Tensor:
+    """Sparse-dense product `op.matrix @ x` by a constant sparse operator.
+
+    `op.matrix` is an (m, n) scipy CSR matrix and `op.transpose` its (n, m)
+    transpose, also CSR and built once by the caller, so the backward pass
+    `op.transpose @ g` is a row-wise sum as well. Each output row sums its
+    stored entries in storage order.
+    """
 
     def bw(g):
-        x._accum(g[seg] / denom[seg][:, None])
+        x._accum(op.transpose @ g)
 
-    return Tensor(out, parents=(x,), backward=bw)
+    return Tensor(op.matrix @ x.data, parents=(x,), backward=bw)
 
 
 def segment_max(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
@@ -227,13 +256,6 @@ def segment_max(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
         x._accum(buf)
 
     return Tensor(out, parents=(x,), backward=bw)
-
-
-SEGMENT_REDUCERS = {
-    "sum": segment_sum,
-    "mean": segment_mean,
-    "max": segment_max,
-}
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -256,24 +256,25 @@ def strip_temporal_edges(graph: TemporalGraph) -> TemporalGraph:
                          target_index=graph.target_index)
 
 
-def cyclical_encode(position: int, period: int, dim: int) -> np.ndarray:
+def cyclical_encode(position: int | np.ndarray, period: int,
+                    dim: int) -> np.ndarray:
     """Multi-frequency sin/cos position encoding.
 
     Pair k (k = 0..dim/2-1) holds sin and cos of 2*pi*position*(k+1)/period,
-    so the vector is periodic in `position` with period `period`.
+    so the vector is periodic in `position` with period `period`. An array
+    of positions gives one row per position.
     """
     if dim <= 0 or dim % 2 != 0:
         raise ValueError("dim must be a positive even integer")
     if period <= 0:
         raise ValueError("period must be positive")
-    if position < 0:
+    position = np.asarray(position)
+    if np.any(position < 0):
         raise ValueError("position must be >= 0")
-    vec = np.empty(dim)
-    for k in range(dim // 2):
-        angle = 2.0 * math.pi * position * (k + 1) / period
-        vec[2 * k] = math.sin(angle)
-        vec[2 * k + 1] = math.cos(angle)
-    return vec
+    angle = np.multiply.outer(2.0 * math.pi * position,
+                              np.arange(1, dim // 2 + 1)) / period
+    return np.stack([np.sin(angle), np.cos(angle)],
+                    axis=-1).reshape(position.shape + (dim,))
 
 
 def dump_temporal_graph(graph: TemporalGraph) -> str:

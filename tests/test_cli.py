@@ -169,6 +169,7 @@ class TestConfigResolution:
         pytest.param("train.split=0.5,0.5", id="short-split"),
         pytest.param("train.batch_size=x", id="non-integer"),
         pytest.param("model.neighbor_aggregator=median", id="bad-choice"),
+        pytest.param("model.num_layers=x", id="non-integer-model"),
     ])
     def test_bad_config_exit_two(self, tmp_path, cache, capsys, setting):
         assert main(["train", "--cache", str(cache), "--out-dir",
@@ -242,11 +243,23 @@ class TestFinetuneEvaluate:
                      str(cache), "--out-dir", str(tmp_path / "e2")])
         assert code == 3
 
-    @pytest.mark.parametrize("key", ["model.num_layers", "graph.flow_memory"])
+    @pytest.mark.parametrize("key", ["model.num_layers", "graph.flow_memory",
+                                     "codec.json", "codec.hash",
+                                     "vocab.classes"])
     def test_evaluate_missing_metadata_key_exit_three(self, tmp_path, cache,
                                                       capsys, key):
         ckpt = write_scratch_checkpoint(cache, tmp_path / "old.pptg",
                                         lambda meta: meta.pop(key))
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--cache",
+                     str(cache), "--out-dir", str(tmp_path / "e")])
+        assert code == 3
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["model.num_layers", "graph.window_size"])
+    def test_evaluate_malformed_metadata_value_exit_three(self, tmp_path, cache,
+                                                          capsys, key):
+        ckpt = write_scratch_checkpoint(cache, tmp_path / "bad.pptg",
+                                        lambda meta: meta.update({key: "x"}))
         code = main(["evaluate", "--checkpoint", str(ckpt), "--cache",
                      str(cache), "--out-dir", str(tmp_path / "e")])
         assert code == 3

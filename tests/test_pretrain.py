@@ -32,7 +32,7 @@ class TestSampleNegatives:
     def test_exact_count_and_disjoint_from_positives(self):
         graphs, _ = toy_graphs(12)
         graph = graphs[-1]
-        task = sample_negatives(graph, 1.0, Rng(5), GC)
+        task = sample_negatives(graph, prepare_graph(graph, GC), 1.0, Rng(5))
         for etype, (ps, pd) in task.positives.items():
             pos = set(zip(ps.tolist(), pd.tolist()))
             ns, nd = task.negatives[etype]
@@ -44,8 +44,9 @@ class TestSampleNegatives:
 
     def test_identical_seed_identical_negatives(self):
         graphs, _ = toy_graphs(12)
-        a = sample_negatives(graphs[-1], 1.0, Rng(9), GC)
-        b = sample_negatives(graphs[-1], 1.0, Rng(9), GC)
+        arrays = prepare_graph(graphs[-1], GC)
+        a = sample_negatives(graphs[-1], arrays, 1.0, Rng(9))
+        b = sample_negatives(graphs[-1], arrays, 1.0, Rng(9))
         for etype in a.negatives:
             assert np.array_equal(a.negatives[etype][0], b.negatives[etype][0])
             assert np.array_equal(a.negatives[etype][1], b.negatives[etype][1])
@@ -55,7 +56,8 @@ class TestSampleNegatives:
         flows = [mk_flow(0, 0.0, 0.1, src="a", dst="a")]
         codec = fit_codec(flows)
         graphs = build_temporal_graphs(flows, GC, encode_flows(flows, codec))
-        task = sample_negatives(graphs[0], 1.0, Rng(1), GC)
+        task = sample_negatives(graphs[0], prepare_graph(graphs[0], GC), 1.0,
+                                Rng(1))
         for etype in ("flow_to_src", "src_to_flow", "flow_to_dst",
                       "dst_to_flow"):
             assert len(task.negatives[etype][0]) == 0
@@ -75,7 +77,7 @@ class TestSampleNegatives:
             for _ in snap.ip_nodes:
                 window_of[n_flows + ipos] = w
                 ipos += 1
-        task = sample_negatives(graph, 1.0, Rng(3), GC)
+        task = sample_negatives(graph, arrays, 1.0, Rng(3))
         for etype in ("inter_ip", "inter_flow"):
             ns, nd = task.negatives[etype]
             for s, d in zip(ns.tolist(), nd.tolist()):
@@ -93,8 +95,8 @@ class TestScorer:
         params.update(init_scorer_params(MC, rng.child("s")))
         correct = total = 0
         for gi, graph in enumerate(graphs):
-            task = sample_negatives(graph, 1.0, Rng(gi), GC)
             arrays = prepare_graph(graph, GC)
+            task = sample_negatives(graph, arrays, 1.0, Rng(gi))
             _, logits, targets = link_pred_loss(arrays, task, params, MC)
             correct += link_pred_accuracy(logits, targets) * len(targets)
             total += len(targets)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgnn import tensor as T
+from flowgnn.model import edge_operator
+from reference_ops import SEGMENT_REDUCERS, segment_mean
 from flowgnn.tensor import AdamState, Rng, Tensor, adam_step
 
 
@@ -35,13 +37,13 @@ class TestOps:
         seg = np.array([0, 0, 2, 2, 2, 3])
 
         def f(params):
-            reduced = T.SEGMENT_REDUCERS[op_name](params["x"], seg, 5)
+            reduced = SEGMENT_REDUCERS[op_name](params["x"], seg, 5)
             return T.sum_all(T.leaky_relu(reduced))
 
         assert T.check_gradients(f, {"x": x}) < 1e-8
 
     def test_segment_mean_empty_segment_is_zero(self):
-        out = T.segment_mean(Tensor(np.ones((2, 3))), np.array([0, 2]), 4)
+        out = segment_mean(Tensor(np.ones((2, 3))), np.array([0, 2]), 4)
         assert np.allclose(out.data[1], 0.0)
         assert np.allclose(out.data[3], 0.0)
 
@@ -49,6 +51,38 @@ class TestOps:
         x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]))
         out = T.segment_max(x, np.array([0, 0]), 1)
         assert np.allclose(out.data, [[3.0, 5.0]])
+
+    def test_spmm_gradients(self):
+        rng = Rng(12)
+        x = rand_tensor(rng, (6, 4))
+        # duplicate edge 1 -> 3, node 5 without in-edges, rows out of order
+        src = np.array([1, 4, 1, 0, 2, 1, 5])
+        dst = np.array([3, 0, 3, 2, 0, 4, 2])
+        op = edge_operator(src, dst, 6)
+        dense = np.zeros((len(op.rows), 6))
+        np.add.at(dense, (np.searchsorted(op.rows, dst), src), 1.0)
+        assert np.array_equal(op.matrix.toarray(), dense)
+        assert np.array_equal(op.transpose.toarray(), dense.T)
+        assert np.allclose(T.spmm(op, x).data, dense @ x.data)
+
+        def f(params):
+            total = T.spmm(op, params["x"])
+            return T.sum_all(T.leaky_relu(T.scale(total, -1.0)))
+
+        assert T.check_gradients(f, {"x": x}) < 1e-8
+
+    def test_row_placement_gradients(self):
+        rng = Rng(13)
+        x = rand_tensor(rng, (5, 3))
+        rows = np.array([4, 0, 2])
+        degree = np.array([2.0, 1.0, 3.0])[:, None]
+
+        def f(params):
+            picked = T.div_const(T.take_rows(params["x"], rows), degree)
+            placed = T.put_rows(picked, rows, 5)
+            return T.sum_all(T.leaky_relu(T.add(placed, params["x"])))
+
+        assert T.check_gradients(f, {"x": x}) < 1e-8
 
     def test_gather_concat_gradients(self):
         rng = Rng(5)
