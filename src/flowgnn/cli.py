@@ -123,6 +123,12 @@ class RunConfig:
         return config_from_items(TrainConfig, "train", self.values,
                                  seed=self.seed)
 
+    def finetune_config(self) -> TrainConfig:
+        """`train.*` with `finetune.epochs` and `finetune.lr` replaced in."""
+        return replace(self.train_config(),
+                       epochs=self.get_int("finetune.epochs"),
+                       lr=self.get_float("finetune.lr"))
+
 
 def resolve_config(config_path: str | None, overrides: dict,
                    seed_flag: int | None, extra: dict) -> RunConfig:
@@ -209,7 +215,7 @@ def _pretrain_from(config: RunConfig, mode: str, target: str | None,
     label-stripped graphs of `datasets`, (id, cache path, records) triples,
     each encoded by its own codec with the shared `protocol_vocab`.
 
-    Returns (corpus, graph count, PretrainResult)."""
+    Returns (corpus, graph count, FitResult)."""
     corpus = PretrainCorpus(datasets=tuple((ds, path) for ds, path, _ in
                                            datasets),
                             mode=mode, target_dataset=target)
@@ -322,9 +328,7 @@ def cmd_finetune(args) -> int:
     base_model, graph_config, base_codec, _ = configs_from_metadata(meta)
     records, vocab = _load_labeled_cache(args.cache)
     model_config = replace(base_model, num_classes=max(2, vocab.num_classes))
-    train_config = replace(config.train_config(),
-                           epochs=config.get_int("finetune.epochs"),
-                           lr=config.get_float("finetune.lr"))
+    train_config = config.finetune_config()
     data = prepare_splits(records, vocab, graph_config, train_config.split,
                           protocol_vocab=base_codec.protocol_vocab)
     params = transfer_weights(base_params, model_config, graph_config,
@@ -441,11 +445,9 @@ def cmd_fewshot(args) -> int:
         print(f"computed reference macro F1 {reference:.4f} from scratch run")
 
     plan = FewShotPlan(reference_score=reference,
+                       train=config.finetune_config(),
                        fractions=config.get_floats("fewshot.fractions"),
-                       modes=modes,
-                       epochs=config.get_int("finetune.epochs"),
-                       lr=config.get_float("finetune.lr"),
-                       weighted_loss=train_config.weighted_loss)
+                       modes=modes)
     rows = fewshot(plan, bases, data, model_config, graph_config, config.seed)
     out_dir = Path(args.out_dir)
     _echo_config(config, out_dir, run_id)

@@ -217,12 +217,12 @@ def select_fraction(order: Sequence[int], graphs: Sequence[TemporalGraph],
 
 @dataclass(frozen=True)
 class FewShotPlan:
+    """Fine-tune with `train` at each labeled fraction in each mode."""
+
     reference_score: float
+    train: TrainConfig
     fractions: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5)
     modes: tuple[str, ...] = FEWSHOT_MODES
-    epochs: int = 50
-    lr: float = 0.01
-    weighted_loss: bool = True
 
     def __post_init__(self):
         if not all(0 < f <= 1 for f in self.fractions):
@@ -259,10 +259,8 @@ def fewshot(plan: FewShotPlan, bases: Mapping[str, Mapping | None],
             else:
                 params = transfer_weights(base, model_config, graph_config,
                                           feature_dim, rng)
-            config = TrainConfig(epochs=plan.epochs, lr=plan.lr,
-                                 weighted_loss=plan.weighted_loss, seed=seed)
             result = train(train_graphs, data.val_graphs, data.labels, params,
-                           config, model_config, graph_config)
+                           plan.train, model_config, graph_config)
             report = evaluate(result.params, data.test_graphs, data.vocab,
                               data.labels, model_config, graph_config,
                               result.seconds)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -58,24 +59,32 @@ class FlowRecord:
     attack_name: str | None = None
 
     def validate(self) -> str | None:
-        """Return a violation message, or None if all invariants hold."""
+        """Return a violation message, or None if all invariants hold and
+        every field fits its flow-cache slot."""
+        for name in ("start_time", "end_time", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                return f"{name} {getattr(self, name)} not finite"
         if self.end_time < self.start_time:
             return f"end_time {self.end_time} < start_time {self.start_time}"
         if abs(self.duration - (self.end_time - self.start_time)) > 1e-6:
             return (f"duration {self.duration} inconsistent with "
                     f"end-start {self.end_time - self.start_time}")
-        for name in ("in_bytes", "out_bytes", "in_pkts", "out_pkts"):
-            if getattr(self, name) < 0:
-                return f"{name} negative"
-        for name in ("src_port", "dst_port"):
-            port = getattr(self, name)
-            if not 0 <= port <= 65535:
-                return f"{name} {port} outside [0, 65535]"
-        if not 0 <= self.protocol <= 255:
-            return f"protocol {self.protocol} outside [0, 255]"
-        if not 0 <= self.tcp_flags <= 255:
-            return f"tcp_flags {self.tcp_flags} outside [0, 255]"
+        for name, lo, hi in _FIELD_RANGES:
+            if not lo <= getattr(self, name) < hi:
+                return f"{name} {getattr(self, name)} outside [{lo}, {hi})"
+        for name in ("src_ip", "dst_ip", "attack_name"):
+            if len((getattr(self, name) or "").encode("utf-8")) > 0xFFFF:
+                return f"{name} longer than 65535 UTF-8 bytes"
         return None
+
+
+#: (field, lowest, highest + 1) of each integer field, per its cache slot
+_FIELD_RANGES = (("flow_id", 0, 2 ** 64),
+                 *((name, 0, 2 ** 63) for name in
+                   ("in_bytes", "out_bytes", "in_pkts", "out_pkts")),
+                 ("src_port", 0, 65536), ("dst_port", 0, 65536),
+                 ("protocol", 0, 256), ("tcp_flags", 0, 256),
+                 ("label", -2 ** 31, 2 ** 31))
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,7 @@ def load_flow_csv(path: str | Path, schema: Mapping[str, str]) -> LoadResult:
             if attack == "":
                 attack = None
             record = FlowRecord(
-                flow_id=int(col("flow_id")) if has_flow_id else -1,
+                flow_id=int(col("flow_id")) if has_flow_id else 0,
                 start_time=start,
                 end_time=end,
                 src_ip=col("src_ip"),
@@ -389,39 +398,67 @@ def write_flow_cache(records: Sequence[FlowRecord], path: str | Path) -> None:
     Path(path).write_bytes(b"".join(out))
 
 
-def _read_table(buf: bytes, offset: int) -> tuple[list[str], int]:
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    entries = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        entries.append(buf[offset:offset + length].decode("utf-8"))
-        offset += length
-    return entries, offset
+class ByteReader:
+    """Bounded reads over a whole binary file. Reading past its end, or
+    `finish` with bytes left over, raises ValueError naming the offset."""
+
+    def __init__(self, path: str | Path, kind: str):
+        self.path, self.kind, self.offset = path, kind, 0
+        self.buf = memoryview(Path(path).read_bytes())
+
+    def take(self, size: int) -> memoryview:
+        if self.offset + size > len(self.buf):
+            raise ValueError(f"{self.path}: truncated {self.kind}: {size} "
+                             f"bytes needed at offset {self.offset}, file "
+                             f"ends at {len(self.buf)}")
+        self.offset += size
+        return self.buf[self.offset - size:self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def finish(self) -> None:
+        if self.offset != len(self.buf):
+            raise ValueError(f"{self.path}: {len(self.buf) - self.offset} "
+                             f"trailing bytes after offset {self.offset}")
+
+
+def _read_table(reader: ByteReader) -> list[str]:
+    (count,) = reader.unpack("<I")
+    return [str(reader.take(reader.unpack("<H")[0]), "utf-8")
+            for _ in range(count)]
 
 
 def read_flow_cache(path: str | Path) -> tuple[FlowRecord, ...]:
-    buf = Path(path).read_bytes()
-    if buf[:4] != CACHE_MAGIC:
+    """Inverse of `write_flow_cache`. A file that ends early, has bytes after
+    the last record, or has a record naming a key or attack name beyond its
+    table raises ValueError with the byte offset."""
+    reader = ByteReader(path, "flow cache")
+    if reader.take(4) != CACHE_MAGIC:
         raise ValueError(f"{path}: not a flow cache (bad magic)")
-    (version,) = struct.unpack_from("<I", buf, 4)
+    (version,) = reader.unpack("<I")
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
-    (count,) = struct.unpack_from("<Q", buf, 8)
-    keys, offset = _read_table(buf, 16)
-    names, offset = _read_table(buf, offset)
+    (count,) = reader.unpack("<Q")
+    keys = _read_table(reader)
+    names = _read_table(reader)
+    start = reader.offset
+    block = reader.take(count * _RECORD_SIZE)
+    reader.finish()
     records = []
-    for _ in range(count):
-        (flow_id, start, end, src_k, dst_k, sport, dport, proto, flags,
-         in_b, out_b, in_p, out_p, duration, label, name_idx) = \
-            struct.unpack_from(_RECORD_FMT, buf, offset)
-        offset += _RECORD_SIZE
-        records.append(FlowRecord(
-            flow_id=flow_id, start_time=start, end_time=end,
-            src_ip=keys[src_k], dst_ip=keys[dst_k],
-            src_port=sport, dst_port=dport, protocol=proto,
-            in_bytes=in_b, out_bytes=out_b, in_pkts=in_p, out_pkts=out_p,
-            tcp_flags=flags, duration=duration, label=label,
-            attack_name=None if name_idx == _NO_NAME else names[name_idx]))
+    for i, (flow_id, start_time, end, src_k, dst_k, sport, dport, proto, flags,
+            in_b, out_b, in_p, out_p, duration, label, name_idx) in \
+            enumerate(struct.iter_unpack(_RECORD_FMT, block)):
+        try:
+            records.append(FlowRecord(
+                flow_id=flow_id, start_time=start_time, end_time=end,
+                src_ip=keys[src_k], dst_ip=keys[dst_k],
+                src_port=sport, dst_port=dport, protocol=proto,
+                in_bytes=in_b, out_bytes=out_b, in_pkts=in_p, out_pkts=out_p,
+                tcp_flags=flags, duration=duration, label=label,
+                attack_name=None if name_idx == _NO_NAME else names[name_idx]))
+        except IndexError:
+            raise ValueError(f"{path}: record at offset "
+                             f"{start + i * _RECORD_SIZE} names a key or "
+                             f"attack name beyond its table") from None
     return tuple(records)

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .ingest import FeatureCodec, LabelVocabulary
+from .ingest import ByteReader, FeatureCodec, LabelVocabulary
 from .tensor import Tensor
 from .windows import (GraphBuildConfig, INTRA_EDGE_TYPES, SPATIAL_EDGE_TYPES,
                       TEMPORAL_EDGE_TYPES, TemporalGraph, cyclical_encode)
@@ -359,27 +359,23 @@ def classify(states: Tensor, rows: np.ndarray, params: Mapping[str, Tensor],
     return x
 
 
-def forward_prepared(arrays: GraphArrays, params: Mapping[str, Tensor],
-                     config: ModelConfig) -> tuple[tuple[int, ...], Tensor]:
-    """Stacked (temporal, spatial) layers then the classifier over the
-    target window's flow states; temporal always runs first in a layer."""
-    states = init_node_states(arrays, params, config)
-    for k in range(config.num_layers):
-        states = temporal_step(states, arrays, params, k, config)
-        states = spatial_step(states, arrays, params, k, config)
-    logits = classify(states, arrays.target_rows, params, config)
-    return arrays.target_flow_ids, logits
-
-
 def final_states(arrays: GraphArrays, params: Mapping[str, Tensor],
                  config: ModelConfig) -> Tensor:
-    """All-node states after the last layer (used by the link-prediction
-    task heads, which score edges between arbitrary nodes)."""
+    """All-node states after stacked (temporal, spatial) layers; temporal
+    always runs first in a layer."""
     states = init_node_states(arrays, params, config)
     for k in range(config.num_layers):
         states = temporal_step(states, arrays, params, k, config)
         states = spatial_step(states, arrays, params, k, config)
     return states
+
+
+def forward_prepared(arrays: GraphArrays, params: Mapping[str, Tensor],
+                     config: ModelConfig) -> tuple[tuple[int, ...], Tensor]:
+    """Classifier logits over the target window's final flow states."""
+    return arrays.target_flow_ids, classify(
+        final_states(arrays, params, config), arrays.target_rows, params,
+        config)
 
 
 def forward(graph: TemporalGraph, params: Mapping[str, Tensor],
@@ -488,42 +484,26 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]
     """Inverse of `save_checkpoint`. A file that ends early, has a length
     field pointing past its end, or has bytes after the last tensor raises
     ValueError with the byte offset."""
-    buf = memoryview(Path(path).read_bytes())
-    offset = 0
-
-    def take(size: int) -> memoryview:
-        nonlocal offset
-        if offset + size > len(buf):
-            raise ValueError(f"{path}: truncated checkpoint: {size} bytes "
-                             f"needed at offset {offset}, file ends at "
-                             f"{len(buf)}")
-        offset += size
-        return buf[offset - size:offset]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    if take(4) != CHECKPOINT_MAGIC:
+    reader = ByteReader(path, "checkpoint")
+    if reader.take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = unpack("<I")
+    (version,) = reader.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = unpack("<Q")
-    metadata = parse_metadata(str(take(meta_len), "utf-8"))
-    (count,) = unpack("<I")
+    (meta_len,) = reader.unpack("<Q")
+    metadata = parse_metadata(str(reader.take(meta_len), "utf-8"))
+    (count,) = reader.unpack("<I")
     params: dict[str, Tensor] = {}
     for _ in range(count):
-        (name_len,) = unpack("<H")
-        name = str(take(name_len), "utf-8")
-        dtype, rank = unpack("<BB")
+        (name_len,) = reader.unpack("<H")
+        name = str(reader.take(name_len), "utf-8")
+        dtype, rank = reader.unpack("<BB")
         if dtype != _DTYPE_F64:
             raise ValueError(f"{path}: unknown dtype tag {dtype} for {name!r}")
-        dims = unpack(f"<{rank}Q")
-        data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+        dims = reader.unpack(f"<{rank}Q")
+        data = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8")
         params[name] = Tensor(data.reshape(dims).copy())
-    if offset != len(buf):
-        raise ValueError(f"{path}: {len(buf) - offset} trailing bytes after "
-                         f"offset {offset}")
+    reader.finish()
     return params, metadata
 
 
@@ -546,8 +526,7 @@ def build_metadata(model_config: ModelConfig, graph_config: GraphBuildConfig,
 def configs_from_metadata(meta: Mapping[str, str]) \
         -> tuple[ModelConfig, GraphBuildConfig, FeatureCodec, LabelVocabulary]:
     """Configs, codec and vocabulary recorded in checkpoint metadata. A
-    missing key, or a malformed `model.*`/`graph.*` value, raises
-    CompatibilityError naming it."""
+    missing key or a malformed value raises CompatibilityError naming it."""
     for key in ("codec.json", "codec.hash", "vocab.classes"):
         if key not in meta:
             raise CompatibilityError(f"missing metadata key {key!r}")
@@ -558,11 +537,21 @@ def configs_from_metadata(meta: Mapping[str, str]) \
         raise
     except ValueError as exc:
         raise CompatibilityError(f"checkpoint metadata: {exc}") from exc
-    codec = FeatureCodec.from_json(meta["codec.json"])
+    codec = _parse_metadata_value(meta, "codec.json", FeatureCodec.from_json)
     if codec.digest() != meta["codec.hash"]:
         raise CompatibilityError("codec hash mismatch in checkpoint metadata")
-    vocab = LabelVocabulary(tuple(json.loads(meta["vocab.classes"])))
+    vocab = _parse_metadata_value(
+        meta, "vocab.classes",
+        lambda text: LabelVocabulary(tuple(json.loads(text))))
     return model_config, graph_config, codec, vocab
+
+
+def _parse_metadata_value(meta: Mapping[str, str], key: str, parse):
+    try:
+        return parse(meta[key])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CompatibilityError(f"checkpoint metadata: malformed {key!r}: "
+                                 f"{exc!r}") from exc
 
 
 def check_encoder_compat(params: Mapping[str, Tensor], feature_dim: int,

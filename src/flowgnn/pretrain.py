@@ -14,7 +14,6 @@ only unlabeled flow caches.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -23,7 +22,8 @@ import numpy as np
 from . import tensor as T
 from .model import (CompatibilityError, GraphArrays, ModelConfig,
                     final_states, init_params, prepare_graph, trunk_names)
-from .tensor import AdamState, Tensor, adam_step, zero_grads
+from .tensor import Tensor
+from .training import FitResult, fit
 from .windows import (ALL_EDGE_TYPES, GraphBuildConfig, SPATIAL_EDGE_TYPES,
                       TemporalGraph)
 
@@ -218,52 +218,33 @@ def link_pred_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
 # pre-training loop
 
 
-@dataclass
-class PretrainResult:
-    params: dict
-    log: list
-    seconds: float
-
-
 def pretrain(corpus: PretrainCorpus, graphs: Sequence[TemporalGraph],
              model_config: ModelConfig, graph_config: GraphBuildConfig,
              feature_dim: int, epochs: int, lr: float = 0.0001,
-             negative_ratio: float = 1.0, seed: int = 0) -> PretrainResult:
+             negative_ratio: float = 1.0, seed: int = 0) -> FitResult:
     """Minimize BCE over positive/negative edges of all types across the
-    corpus graphs; negatives are resampled every epoch from a seeded
-    stream. Returns trunk + scorer parameters plus the per-epoch log."""
+    corpus graphs, one Adam step per graph; negatives are resampled every
+    epoch from a seeded stream. Returns trunk + scorer parameters plus the
+    per-epoch log of edge-weighted loss and accuracy."""
     if not graphs:
         raise ValueError("empty pre-training corpus: no graphs")
     rng = T.Rng(seed)
     params = init_params(model_config, feature_dim, graph_config,
                          rng.child("trunk"))
     params.update(init_scorer_params(model_config, rng.child("scorers")))
-    state = AdamState(lr=lr)
     neg_rng = rng.child("negatives")
-
     prepared = [(prepare_graph(g, graph_config), g) for g in graphs]
-    log: list[dict] = []
-    started = time.perf_counter()
-    for epoch in range(epochs):
-        total_loss = 0.0
-        total_edges = 0
-        total_correct = 0.0
+
+    def steps(epoch):
         for gi, (arrays, graph) in enumerate(prepared):
             task = sample_negatives(graph, arrays, negative_ratio,
                                     neg_rng.child(f"{epoch}:{gi}"))
-            zero_grads(params)
             loss, logits, targets = link_pred_loss(arrays, task, params,
                                                    model_config)
-            loss.backward()
-            grads = {name: p.grad for name, p in params.items()}
-            adam_step(params, grads, state)
-            total_loss += loss.item() * len(targets)
-            total_edges += len(targets)
-            total_correct += link_pred_accuracy(logits, targets) * len(targets)
-        log.append({"epoch": epoch,
-                    "loss": total_loss / max(1, total_edges),
-                    "accuracy": total_correct / max(1, total_edges)})
-    return PretrainResult(params, log, time.perf_counter() - started)
+            yield loss, len(targets), \
+                {"accuracy": link_pred_accuracy(logits, targets)}
+
+    return fit(params, epochs, lr, steps)
 
 
 def transfer_weights(pretrained: Mapping[str, Tensor],

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,14 +97,16 @@ def class_weights(labels: Sequence[int], num_classes: int) -> np.ndarray:
     return total / (num_classes * np.maximum(counts, 1.0))
 
 
-def _labeled_targets(arrays: GraphArrays, labels: Mapping[int, int]):
-    rows, classes = [], []
-    for row, flow_id in zip(arrays.target_rows, arrays.target_flow_ids):
+def _labeled(flow_ids: Sequence[int], labels: Mapping[int, int]):
+    """Positions in `flow_ids` of the labeled flows, and their classes."""
+    positions, classes = [], []
+    for i, flow_id in enumerate(flow_ids):
         label = labels.get(flow_id, UNLABELED)
         if label != UNLABELED:
-            rows.append(row)
+            positions.append(i)
             classes.append(label)
-    return np.asarray(rows, dtype=np.int64), np.asarray(classes, dtype=np.int64)
+    return (np.asarray(positions, dtype=np.int64),
+            np.asarray(classes, dtype=np.int64))
 
 
 def predict_flows(prepared: Sequence[GraphArrays],
@@ -122,94 +124,98 @@ def predict_flows(prepared: Sequence[GraphArrays],
     return out
 
 
-def _macro_f1(prepared, params, model_config, labels, num_classes) -> float:
+def _labeled_predictions(prepared: Sequence[GraphArrays],
+                         params: Mapping[str, Tensor], model_config: ModelConfig,
+                         labels: Mapping[int, int]):
+    """(true, predicted) classes of the labeled predicted flows, by id."""
     predictions = predict_flows(prepared, params, model_config)
-    y_true, y_pred = [], []
-    for flow_id, pred in predictions.items():
-        label = labels.get(flow_id, UNLABELED)
-        if label != UNLABELED:
-            y_true.append(label)
-            y_pred.append(pred)
-    if not y_true:
-        return 0.0
-    return f1_scores(y_true, y_pred, num_classes)[1]
+    flow_ids = sorted(predictions)
+    positions, y_true = _labeled(flow_ids, labels)
+    return y_true, [predictions[flow_ids[i]] for i in positions]
 
 
 @dataclass
-class TrainResult:
+class FitResult:
     params: dict
     log: list
     seconds: float
+
+
+def fit(params: Mapping[str, Tensor], epochs: int, lr: float,
+        steps: Callable, score: Callable | None = None) -> FitResult:
+    """Adam over `params`, in place: `steps(epoch)` yields one
+    (loss, weight, stats) per optimizer step. An epoch's log entry holds
+    the weight-averaged loss and stats, plus `val_macro_f1 = score(params)`
+    when `score` is given; the parameters of the first epoch with the
+    highest score come back (the final parameters without `score`)."""
+    state = AdamState(lr=lr)
+    log: list[dict] = []
+    best, best_score = params, -1.0
+    started = time.perf_counter()
+    for epoch in range(epochs):
+        sums: dict[str, float] = {}
+        total = 0
+        for loss, weight, stats in steps(epoch):
+            zero_grads(params)
+            loss.backward()
+            adam_step(params, {name: p.grad for name, p in params.items()},
+                      state)
+            for key, value in {"loss": loss.item(), **stats}.items():
+                sums[key] = sums.get(key, 0.0) + value * weight
+            total += weight
+        entry = {"epoch": epoch, **{k: v / total for k, v in sums.items()}}
+        if score is not None:
+            entry["val_macro_f1"] = value = score(params)
+            if value > best_score:
+                best, best_score = copy_params(params), value
+        log.append(entry)
+    return FitResult(best, log, time.perf_counter() - started)
 
 
 def train(train_graphs: Sequence[TemporalGraph],
           val_graphs: Sequence[TemporalGraph] | None,
           labels: Mapping[int, int], params: Mapping[str, Tensor],
           config: TrainConfig, model_config: ModelConfig,
-          graph_config: GraphBuildConfig) -> TrainResult:
+          graph_config: GraphBuildConfig) -> FitResult:
     """Adam on (optionally class-weighted) cross-entropy over target-window
-    flow labels; keeps the checkpoint with the best validation multiclass
-    macro F1 (final parameters when there is no validation split).
+    flow labels, `config.batch_size` graphs a step; keeps the checkpoint
+    with the best validation multiclass macro F1 (final parameters when
+    there is no validation split).
 
     The caller's parameter set is deep-copied: training never mutates it.
     """
     params = copy_params(params)
-    prepared_all = [prepare_graph(g, graph_config) for g in train_graphs]
-    batches_src = [(a, *_labeled_targets(a, labels)) for a in prepared_all]
-    batches_src = [(a, rows, classes) for a, rows, classes in batches_src
-                   if len(rows) > 0]
-    if not batches_src:
+    batches = [(a, *_labeled(a.target_flow_ids, labels))
+               for a in (prepare_graph(g, graph_config) for g in train_graphs)]
+    batches = [b for b in batches if len(b[1]) > 0]
+    if not batches:
         raise EmptyDataError("no labeled flows in any training target window")
-    prepared_val = [prepare_graph(g, graph_config) for g in val_graphs] \
-        if val_graphs else []
-
+    prepared_val = [prepare_graph(g, graph_config) for g in val_graphs or ()]
     num_classes = model_config.num_classes
-    weights = None
-    if config.weighted_loss:
-        all_labels = [c for _, _, cls in batches_src for c in cls]
-        weights = class_weights(all_labels, num_classes)
+    weights = class_weights([c for _, _, cls in batches for c in cls],
+                            num_classes) if config.weighted_loss else None
 
-    state = AdamState(lr=config.lr)
-    log: list[dict] = []
-    best = copy_params(params)
-    best_f1 = -1.0
-    started = time.perf_counter()
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        epoch_flows = 0
-        for lo in range(0, len(batches_src), config.batch_size):
-            batch = batches_src[lo:lo + config.batch_size]
-            zero_grads(params)
-            parts = []
-            n_total = sum(len(rows) for _, rows, _ in batch)
-            for arrays, rows, classes in batch:
+    def steps(epoch):
+        for lo in range(0, len(batches), config.batch_size):
+            batch = batches[lo:lo + config.batch_size]
+            loss = None
+            for arrays, positions, classes in batch:
                 _, logits = forward_prepared(arrays, params, model_config)
-                row_pos = {int(r): i for i, r in enumerate(arrays.target_rows)}
-                sel = np.asarray([row_pos[int(r)] for r in rows])
-                ce = T.cross_entropy(T.gather_rows(logits, sel), classes,
+                ce = T.cross_entropy(T.gather_rows(logits, positions), classes,
                                      class_weights=weights, reduction="sum")
-                parts.append(ce)
-            loss = parts[0]
-            for p in parts[1:]:
-                loss = T.add(loss, p)
-            loss = T.scale(loss, 1.0 / n_total)
-            loss.backward()
-            grads = {name: p.grad for name, p in params.items()}
-            adam_step(params, grads, state)
-            epoch_loss += loss.item() * n_total
-            epoch_flows += n_total
-        entry = {"epoch": epoch, "loss": epoch_loss / epoch_flows}
-        if prepared_val:
-            val_f1 = _macro_f1(prepared_val, params, model_config, labels,
-                               num_classes)
-            entry["val_macro_f1"] = val_f1
-            if val_f1 > best_f1:
-                best_f1 = val_f1
-                best = copy_params(params)
-        log.append(entry)
-    if not prepared_val:
-        best = copy_params(params)
-    return TrainResult(best, log, time.perf_counter() - started)
+                loss = ce if loss is None else T.add(loss, ce)
+            n = sum(len(positions) for _, positions, _ in batch)
+            yield T.scale(loss, 1.0 / n), n, {}
+
+    def score(p):
+        y_true, y_pred = _labeled_predictions(prepared_val, p, model_config,
+                                              labels)
+        if len(y_true) == 0:
+            return 0.0
+        return f1_scores(y_true, y_pred, num_classes)[1]
+
+    return fit(params, config.epochs, config.lr, steps,
+               score if prepared_val else None)
 
 
 def evaluate(params: Mapping[str, Tensor], test_graphs: Sequence[TemporalGraph],
@@ -220,14 +226,9 @@ def evaluate(params: Mapping[str, Tensor], test_graphs: Sequence[TemporalGraph],
     binary F1 collapses every attack class against benign."""
     ordered = sorted(test_graphs, key=lambda g: g.target.window_index)
     prepared = [prepare_graph(g, graph_config) for g in ordered]
-    predictions = predict_flows(prepared, params, model_config)
-    y_true, y_pred = [], []
-    for flow_id in sorted(predictions):
-        label = labels.get(flow_id, UNLABELED)
-        if label != UNLABELED:
-            y_true.append(label)
-            y_pred.append(predictions[flow_id])
-    if not y_true:
+    y_true, y_pred = _labeled_predictions(prepared, params, model_config,
+                                          labels)
+    if len(y_true) == 0:
         raise EmptyDataError("no target flows")
     return build_report(y_true, y_pred, vocab, train_seconds)
 
@@ -283,24 +284,15 @@ def mlp_baseline(train_flows: Sequence[FlowRecord],
     }
     weights = class_weights(y_train, num_classes) if config.weighted_loss else None
 
-    state = AdamState(lr=config.lr)
-    best = copy_params(params)
-    best_f1 = -1.0
-    started = time.perf_counter()
-    for _ in range(config.epochs):
-        zero_grads(params)
-        loss = T.cross_entropy(_mlp_forward(x_train, params), y_train,
-                               class_weights=weights)
-        loss.backward()
-        adam_step(params, {n: p.grad for n, p in params.items()}, state)
-        if len(y_val) > 0:
-            val_pred = _mlp_forward(x_val, params).data.argmax(axis=1)
-            val_f1 = f1_scores(y_val, val_pred, num_classes)[1]
-            if val_f1 > best_f1:
-                best_f1 = val_f1
-                best = copy_params(params)
-    if len(y_val) == 0:
-        best = copy_params(params)
-    seconds = time.perf_counter() - started
-    y_pred = _mlp_forward(x_test, best).data.argmax(axis=1)
-    return build_report(y_test, y_pred, vocab, seconds)
+    def steps(epoch):
+        yield (T.cross_entropy(_mlp_forward(x_train, params), y_train,
+                               class_weights=weights), len(y_train), {})
+
+    def score(p):
+        val_pred = _mlp_forward(x_val, p).data.argmax(axis=1)
+        return f1_scores(y_val, val_pred, num_classes)[1]
+
+    result = fit(params, config.epochs, config.lr, steps,
+                 score if len(y_val) > 0 else None)
+    y_pred = _mlp_forward(x_test, result.params).data.argmax(axis=1)
+    return build_report(y_test, y_pred, vocab, result.seconds)

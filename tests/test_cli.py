@@ -72,6 +72,35 @@ class TestIngest:
         assert code == 2
         assert "src" in capsys.readouterr().err
 
+    def test_unrepresentable_values_rejected_per_row(self, tmp_path, capsys):
+        header = "id,start,end,src,dst,sport,dport,proto,ib,ob,ip,op,flags,label"
+        good = "1000,80,6,100,50,3,2,18"
+        rows = [f"1,0.0,1.0,a,b,{good},0",
+                f"2,0.0,nan,a,b,{good},0",
+                f"3,0.0,inf,a,b,{good},0",
+                f"-4,0.0,1.0,a,b,{good},0",
+                f"5,0.0,1.0,a,b,1000,80,6,{2 ** 63},50,3,2,18,0",
+                f"6,0.0,1.0,a,b,{good},{2 ** 31}",
+                f"7,0.0,1.0,{'a' * 70000},b,{good},0"]
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text("\n".join([header] + rows) + "\n")
+        schema = tmp_path / "s.txt"
+        schema.write_text("\n".join(
+            f"{field} = {column}" for field, column in zip(
+                ("flow_id", "start_time", "end_time", "src_ip", "dst_ip",
+                 "src_port", "dst_port", "protocol", "in_bytes", "out_bytes",
+                 "in_pkts", "out_pkts", "tcp_flags", "label"),
+                header.split(","))) + "\n")
+        out = tmp_path / "f.pptf"
+        code = main(["ingest", "--input", str(csv_path), "--schema",
+                     str(schema), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "accepted 1 rejected 6" in captured.out
+        for line in range(3, 9):
+            assert f"reject: line {line}:" in captured.err
+        assert [r.flow_id for r in read_flow_cache(out)] == [1]
+
     def test_reingest_byte_identical(self, tmp_path):
         records = temporal_pattern(n_windows=3, seed=3)
         csv_path = records_to_csv(records, tmp_path / "f.csv")
@@ -255,11 +284,18 @@ class TestFinetuneEvaluate:
         assert code == 3
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["model.num_layers", "graph.window_size"])
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("model.num_layers", "x", id="model.num_layers"),
+        pytest.param("graph.window_size", "x", id="graph.window_size"),
+        pytest.param("codec.json", "{}", id="codec.json-empty"),
+        pytest.param("codec.json", "{", id="codec.json-invalid"),
+        pytest.param("vocab.classes", "[", id="vocab.classes-invalid"),
+        pytest.param("vocab.classes", "[]", id="vocab.classes-empty"),
+    ])
     def test_evaluate_malformed_metadata_value_exit_three(self, tmp_path, cache,
-                                                          capsys, key):
+                                                          capsys, key, value):
         ckpt = write_scratch_checkpoint(cache, tmp_path / "bad.pptg",
-                                        lambda meta: meta.update({key: "x"}))
+                                        lambda meta: meta.update({key: value}))
         code = main(["evaluate", "--checkpoint", str(ckpt), "--cache",
                      str(cache), "--out-dir", str(tmp_path / "e")])
         assert code == 3
@@ -313,6 +349,24 @@ class TestHarnessCommands:
         timing = next(out_dir.glob("fewshot_timing-*.csv")) \
             .read_text().splitlines()
         assert len(timing) == len(rows)
+
+    def test_fewshot_fine_tunes_with_train_batch_size(self, tmp_path, cache,
+                                                      monkeypatch):
+        real_train = experiments.train
+        batch_sizes = []
+
+        def recording_train(*args, **kwargs):
+            batch_sizes.append(args[4].batch_size)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", recording_train)
+        assert main(["fewshot", "--cache", str(cache), "--out-dir",
+                     str(tmp_path / "fs"), "--seed", "1", *FAST,
+                     "--set", "fewshot.fractions=0.3,0.6",
+                     "--set", "fewshot.modes=none",
+                     "--set", "fewshot.reference_score=0.9",
+                     "--set", "train.batch_size=2"]) == 0
+        assert batch_sizes == [2, 2]
 
     def test_fewshot_out_of_context_requires_corpus(self, tmp_path, cache):
         code = main(["fewshot", "--cache", str(cache), "--out-dir",

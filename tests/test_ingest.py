@@ -227,6 +227,31 @@ class TestCache:
         with pytest.raises(ValueError, match="magic"):
             read_flow_cache(path)
 
+    def test_every_truncation_names_offset(self, tmp_path):
+        path = tmp_path / "flows.pptf"
+        write_flow_cache([mk_flow(0, 0.0, 1.0, attack_name="Dos"),
+                          mk_flow(1, 0.5, 1.0)], path)
+        raw = path.read_bytes()
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(ValueError, match=f"file ends at {end}"):
+                read_flow_cache(path)
+
+    def test_trailing_bytes_and_bad_table_index_rejected(self, tmp_path):
+        path = tmp_path / "flows.pptf"
+        write_flow_cache([mk_flow(0, 0.0, 1.0)], path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match=f"1 trailing bytes after offset "
+                                             f"{len(raw)}"):
+            read_flow_cache(path)
+        # the record is the last 86 bytes; its src key index sits at byte 24
+        record = len(raw) - 86
+        path.write_bytes(raw[:record + 24] + (7).to_bytes(4, "little")
+                         + raw[record + 28:])
+        with pytest.raises(ValueError, match=f"offset {record}"):
+            read_flow_cache(path)
+
     def test_load_cache_load_roundtrip_ordering(self, tmp_path):
         rows = [f"{i}.0,{i}.5,h{i % 4},sink,1000,80,6,10,5,1,1,0,"
                 for i in (4, 1, 3, 0, 2)]

@@ -1,18 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import mk_flow, sort_flows
+from flowgnn import tensor as T
+from flowgnn import training
 from flowgnn.experiments import (FewShotPlan, ablation_suite, fewshot,
                                  prepare_splits, select_fraction,
                                  undersample_order)
 from flowgnn.ingest import UNLABELED, encode_flows, fit_codec
 from flowgnn.metrics import f1_scores
-from flowgnn.model import ModelConfig, init_params, prepare_graph
+from flowgnn.model import ModelConfig, copy_params, init_params, prepare_graph
 from flowgnn.synth import (feature_pattern, temporal_pattern,
                            topology_pattern, vocabulary_for)
-from flowgnn.tensor import Rng
+from flowgnn.tensor import Rng, Tensor
 from flowgnn.training import (EmptyDataError, TrainConfig, chronological_split,
-                              class_weights, evaluate, mlp_baseline,
+                              class_weights, evaluate, fit, mlp_baseline,
                               predict_flows, train)
 from flowgnn.windows import GraphBuildConfig, build_temporal_graphs
 
@@ -131,6 +135,44 @@ class TestTrain:
             runs.append(result.log)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("batch_size", [2, 3])
+    def test_batches_step_once_and_log_flow_weighted_loss(self, monkeypatch,
+                                                          batch_size):
+        records = feature_pattern(n_flows=60, seed=2)
+        data, config = prepared_dataset(records)
+        steps_seen = []
+        real_fit = training.fit
+
+        def recording_fit(params, epochs, lr, steps, score=None):
+            def recorded(epoch):
+                for loss, weight, stats in steps(epoch):
+                    steps_seen.append((epoch, loss.item(), weight))
+                    yield loss, weight, stats
+            return real_fit(params, epochs, lr, recorded, score)
+
+        monkeypatch.setattr(training, "fit", recording_fit)
+        adam_calls = []
+        real_adam = training.adam_step
+        monkeypatch.setattr(training, "adam_step", lambda *a: (
+            adam_calls.append(1), real_adam(*a)))
+        params = init_params(config, data.codec.feature_dim, GC, Rng(5))
+        result = train(data.train_graphs, None, data.labels, params,
+                       TrainConfig(epochs=2, lr=0.01, seed=5,
+                                   batch_size=batch_size), config, GC)
+        labeled = [n for n in (
+            sum(data.labels.get(f, UNLABELED) != UNLABELED
+                for f in g.target_flow_ids)
+            for g in (prepare_graph(g, GC) for g in data.train_graphs)) if n]
+        per_epoch = math.ceil(len(labeled) / batch_size)
+        assert len(adam_calls) == 2 * per_epoch
+        for epoch, entry in enumerate(result.log):
+            mine = [(l, w) for e, l, w in steps_seen if e == epoch]
+            assert [w for _, w in mine] == [
+                sum(labeled[lo:lo + batch_size])
+                for lo in range(0, len(labeled), batch_size)]
+            assert entry["loss"] == pytest.approx(
+                sum(l * w for l, w in mine) / sum(labeled))
+
     def test_no_labeled_flows_raises(self):
         flows = sort_flows([mk_flow(i, i * 0.5, i * 0.5 + 0.1)
                             for i in range(5)])
@@ -141,6 +183,56 @@ class TestTrain:
         with pytest.raises(EmptyDataError):
             train(graphs, None, {f.flow_id: UNLABELED for f in flows}, params,
                   TrainConfig(epochs=1), config, GC)
+
+
+def linear_steps(params, directions, weights):
+    """One step per direction c, its loss the dot product c . params["w"]."""
+    def steps(epoch):
+        for c, weight in zip(directions, weights):
+            loss = T.sum_all(T.mul_const(params["w"], np.asarray(c)))
+            yield loss, weight, {"half": 0.5 * loss.item()}
+    return steps
+
+
+class TestFit:
+    def test_first_epoch_with_highest_score_is_kept(self):
+        params = {"w": Tensor(np.array([1.0, -2.0]))}
+        seen = []
+        scores = iter([0.2, 0.7, 0.7, 0.1])
+
+        def score(p):
+            seen.append(copy_params(p))
+            return next(scores)
+
+        steps = linear_steps(params, [[1.0, 1.0]], [1])
+        result = fit(params, 4, 0.1, steps, score)
+        assert [e["val_macro_f1"] for e in result.log] == [0.2, 0.7, 0.7, 0.1]
+        assert np.array_equal(result.params["w"].data, seen[1]["w"].data)
+        assert not np.array_equal(seen[1]["w"].data, seen[2]["w"].data)
+
+    def test_without_score_final_params_come_back(self):
+        params = {"w": Tensor(np.array([1.0, -2.0]))}
+        result = fit(params, 3, 0.1, linear_steps(params, [[1.0, 1.0]], [1]))
+        # Adam moves each weight by about lr per step under a constant gradient
+        assert result.params["w"].data == pytest.approx([0.7, -2.3])
+        assert all("val_macro_f1" not in e for e in result.log)
+
+    def test_log_is_weighted_mean_over_steps(self):
+        params = {"w": Tensor(np.zeros(2))}
+        losses = []
+
+        def steps(epoch):
+            for loss, weight, stats in linear_steps(
+                    params, [[1.0, 0.0], [0.0, 3.0]], [2, 3])(epoch):
+                losses.append(loss.item())
+                yield loss, weight, stats
+
+        result = fit(params, 2, 0.1, steps)
+        for epoch, entry in enumerate(result.log):
+            first, second = losses[2 * epoch:2 * epoch + 2]
+            assert entry["epoch"] == epoch
+            assert entry["loss"] == (first * 2 + second * 3) / 5
+            assert entry["half"] == pytest.approx(entry["loss"] / 2)
 
 
 class TestEvaluate:
@@ -180,6 +272,15 @@ class TestMlpBaseline:
         report = mlp_baseline(flows[:20], flows[20:25], flows[25:], codec,
                               vocab, TrainConfig(epochs=5, lr=0.01, seed=0))
         assert report.multiclass_weighted_f1 == 1.0
+
+    def test_runs_without_validation_split(self):
+        flows = [mk_flow(i, float(i), i + 0.1, label=i % 2) for i in range(30)]
+        codec = fit_codec(flows)
+        from flowgnn.ingest import LabelVocabulary
+        report = mlp_baseline(flows[:20], (), flows[20:], codec,
+                              LabelVocabulary(("Benign", "X")),
+                              TrainConfig(epochs=3, lr=0.01, seed=0))
+        assert sum(c.support for c in report.per_class) == 10
 
     def test_topology_labels_defeat_flat_model(self):
         records = topology_pattern(n_windows=18, seed=5)
@@ -268,8 +369,9 @@ class TestHarnesses:
     def test_fewshot_row_per_fraction_and_mode(self):
         records = temporal_pattern(n_windows=10, seed=10)
         data, config = prepared_dataset(records)
-        plan = FewShotPlan(reference_score=0.9, fractions=(0.2, 0.5),
-                           modes=("none",), epochs=2, lr=0.01)
+        plan = FewShotPlan(reference_score=0.9,
+                           train=TrainConfig(epochs=2, lr=0.01),
+                           fractions=(0.2, 0.5), modes=("none",))
         rows = fewshot(plan, {"none": None}, data, config, GC, seed=0)
         assert len(rows) == 2
         assert {r["fraction"] for r in rows} == {0.2, 0.5}
