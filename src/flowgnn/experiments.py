@@ -77,8 +77,8 @@ def prepare_splits(records: Sequence[FlowRecord], vocab: LabelVocabulary,
 
 def ablation_suite(data: ExperimentData, model_config: ModelConfig,
                    graph_config: GraphBuildConfig, train_config: TrainConfig,
-                   pretrain_epochs: int = 30, pretrain_lr: float = 0.0001,
-                   negative_ratio: float = 1.0) \
+                   pretrain_epochs: int, pretrain_lr: float,
+                   negative_ratio: float) \
         -> list[tuple[str, MetricsReport]]:
     """Three runs on identical seeds and splits: (a) spatial-only graphs,
     (b) full temporal graphs, (c) temporal graphs fine-tuned from an
@@ -221,8 +221,8 @@ class FewShotPlan:
 
     reference_score: float
     train: TrainConfig
-    fractions: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5)
-    modes: tuple[str, ...] = FEWSHOT_MODES
+    fractions: tuple[float, ...]
+    modes: tuple[str, ...]
 
     def __post_init__(self):
         if not all(0 < f <= 1 for f in self.fractions):

@@ -417,6 +417,16 @@ class ByteReader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, size: int) -> str:
+        """The next `size` bytes decoded as UTF-8; invalid UTF-8 raises
+        ValueError naming the offset of the first bad byte."""
+        start = self.offset
+        try:
+            return str(self.take(size), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{self.path}: invalid UTF-8 in {self.kind} at "
+                             f"offset {start + exc.start}") from None
+
     def finish(self) -> None:
         if self.offset != len(self.buf):
             raise ValueError(f"{self.path}: {len(self.buf) - self.offset} "
@@ -425,14 +435,14 @@ class ByteReader:
 
 def _read_table(reader: ByteReader) -> list[str]:
     (count,) = reader.unpack("<I")
-    return [str(reader.take(reader.unpack("<H")[0]), "utf-8")
-            for _ in range(count)]
+    return [reader.text(reader.unpack("<H")[0]) for _ in range(count)]
 
 
 def read_flow_cache(path: str | Path) -> tuple[FlowRecord, ...]:
-    """Inverse of `write_flow_cache`. A file that ends early, has bytes after
-    the last record, or has a record naming a key or attack name beyond its
-    table raises ValueError with the byte offset."""
+    """Inverse of `write_flow_cache`. A file that ends early, has invalid
+    UTF-8 in a key or attack name, has bytes after the last record, or has a
+    record naming a key or attack name beyond its table raises ValueError
+    with the byte offset."""
     reader = ByteReader(path, "flow cache")
     if reader.take(4) != CACHE_MAGIC:
         raise ValueError(f"{path}: not a flow cache (bad magic)")

@@ -33,8 +33,9 @@ import numpy as np
 from . import tensor as T
 from .ingest import ByteReader, FeatureCodec, LabelVocabulary
 from .tensor import Tensor
-from .windows import (GraphBuildConfig, INTRA_EDGE_TYPES, SPATIAL_EDGE_TYPES,
-                      TEMPORAL_EDGE_TYPES, TemporalGraph, cyclical_encode)
+from .windows import (GraphBuildConfig, INTER_EDGE_TYPES, INTRA_EDGE_TYPES,
+                      SPATIAL_EDGE_TYPES, TEMPORAL_EDGE_TYPES, TemporalGraph,
+                      cyclical_encode)
 
 if typing.TYPE_CHECKING:
     from scipy import sparse
@@ -117,8 +118,10 @@ class GraphArrays:
     """A TemporalGraph flattened to global node indices and edge arrays,
     with each edge type's aggregation operator.
 
-    Flow nodes occupy rows [0, n_flows), IP nodes [n_flows, n_flows+n_ips).
-    Pure function of (graph, graph config); prepare once, reuse per epoch.
+    Flow nodes occupy rows [0, n_flows), IP nodes [n_flows, n_flows+n_ips),
+    each kind window by window: the nodes of kind k in window w are rows
+    [window_bounds[k][w], window_bounds[k][w + 1]). Pure function of
+    (graph, graph config); prepare once, reuse per epoch.
     """
 
     n_flows: int
@@ -127,6 +130,7 @@ class GraphArrays:
     ip_input: np.ndarray        # ones || window cyclical encoding
     edges: dict                 # edge type -> (src rows, dst rows)
     operators: dict             # edge type -> EdgeOperator
+    window_bounds: dict         # node kind -> first row of each window, end row
     target_rows: np.ndarray
     target_flow_ids: tuple[int, ...]
 
@@ -135,22 +139,22 @@ class GraphArrays:
         return self.n_flows + self.n_ips
 
 
-# (source, destination) node kind of each per-window edge type
-_ENDPOINT_KINDS = {"flow_to_src": ("flow", "ip"), "src_to_flow": ("ip", "flow"),
-                   "flow_to_dst": ("flow", "ip"), "dst_to_flow": ("ip", "flow"),
-                   "intra_src": ("flow", "flow"), "intra_dst": ("flow", "flow")}
+# (source, destination) node kind of each edge type
+ENDPOINT_KINDS = {"flow_to_src": ("flow", "ip"), "src_to_flow": ("ip", "flow"),
+                  "flow_to_dst": ("flow", "ip"), "dst_to_flow": ("ip", "flow"),
+                  "intra_src": ("flow", "flow"), "intra_dst": ("flow", "flow"),
+                  "inter_ip": ("ip", "ip"), "inter_flow": ("flow", "flow")}
 
 
 def prepare_graph(graph: TemporalGraph,
                   graph_config: GraphBuildConfig) -> GraphArrays:
-    flow_base: list[int] = []
-    ip_base: list[int] = []
-    n_flows = n_ips = 0
-    for snap in graph.snapshots:
-        flow_base.append(n_flows)
-        ip_base.append(n_ips)
-        n_flows += snap.num_flows
-        n_ips += snap.num_ips
+    flow_bounds = np.cumsum([0] + [s.num_flows for s in graph.snapshots],
+                            dtype=np.int64)
+    n_flows = int(flow_bounds[-1])
+    ip_bounds = np.cumsum([n_flows] + [s.num_ips for s in graph.snapshots],
+                          dtype=np.int64)
+    n_ips = int(ip_bounds[-1]) - n_flows
+    bounds = {"flow": flow_bounds, "ip": ip_bounds}
 
     feat_rows, cyc_rows = [], []
     for snap in graph.snapshots:
@@ -177,31 +181,29 @@ def prepare_graph(graph: TemporalGraph,
     ip_input = np.concatenate(ip_rows) if ip_rows \
         else np.zeros((0, 1 + graph_config.window_encoding_dim))
 
-    # global row of each window's first flow / first IP
-    base = {"flow": np.asarray(flow_base, dtype=np.int64),
-            "ip": n_flows + np.asarray(ip_base, dtype=np.int64)}
     edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for etype in SPATIAL_EDGE_TYPES + INTRA_EDGE_TYPES:
-        src_kind, dst_kind = _ENDPOINT_KINDS[etype]
+        src_kind, dst_kind = ENDPOINT_KINDS[etype]
         pairs = np.concatenate(
             [np.asarray(getattr(snap, etype), dtype=np.int64).reshape(-1, 2)
-             + (base[src_kind][w], base[dst_kind][w])
+             + (bounds[src_kind][w], bounds[dst_kind][w])
              for w, snap in enumerate(graph.snapshots)])
         edges[etype] = (pairs[:, 0].copy(), pairs[:, 1].copy())
-    for etype, kind, inter in (("inter_ip", "ip", graph.inter_ip_edges),
-                               ("inter_flow", "flow", graph.inter_flow_edges)):
-        a, i, b, j = np.asarray(inter, dtype=np.int64).reshape(-1, 4).T
-        edges[etype] = (base[kind][a] + i, base[kind][b] + j)
+    for etype in INTER_EDGE_TYPES:
+        first = bounds[ENDPOINT_KINDS[etype][0]]
+        a, i, b, j = np.asarray(getattr(graph, f"{etype}_edges"),
+                                dtype=np.int64).reshape(-1, 4).T
+        edges[etype] = (first[a] + i, first[b] + j)
 
     target = graph.snapshots[graph.target_index]
-    target_rows = flow_base[graph.target_index] + np.arange(target.num_flows,
-                                                            dtype=np.int64)
+    target_rows = bounds["flow"][graph.target_index] + np.arange(
+        target.num_flows, dtype=np.int64)
     operators = {etype: edge_operator(src, dst, n_flows + n_ips)
                  for etype, (src, dst) in edges.items()}
     return GraphArrays(
         n_flows=n_flows, n_ips=n_ips,
         flow_input=flow_input, ip_input=ip_input, edges=edges,
-        operators=operators,
+        operators=operators, window_bounds=bounds,
         target_rows=target_rows,
         target_flow_ids=tuple(n.flow_id for n in target.flow_nodes),
     )
@@ -482,8 +484,9 @@ def save_checkpoint(params: Mapping[str, Tensor], metadata: Mapping[str, str],
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]]:
     """Inverse of `save_checkpoint`. A file that ends early, has a length
-    field pointing past its end, or has bytes after the last tensor raises
-    ValueError with the byte offset."""
+    field pointing past its end, invalid UTF-8 in its metadata or a tensor
+    name, or bytes after the last tensor raises ValueError with the byte
+    offset."""
     reader = ByteReader(path, "checkpoint")
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
@@ -491,12 +494,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = reader.unpack("<Q")
-    metadata = parse_metadata(str(reader.take(meta_len), "utf-8"))
+    metadata = parse_metadata(reader.text(meta_len))
     (count,) = reader.unpack("<I")
     params: dict[str, Tensor] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = str(reader.take(name_len), "utf-8")
+        name = reader.text(name_len)
         dtype, rank = reader.unpack("<BB")
         if dtype != _DTYPE_F64:
             raise ValueError(f"{path}: unknown dtype tag {dtype} for {name!r}")

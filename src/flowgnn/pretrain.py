@@ -20,11 +20,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import (CompatibilityError, GraphArrays, ModelConfig,
-                    final_states, init_params, prepare_graph, trunk_names)
+from .model import (CompatibilityError, ENDPOINT_KINDS, GraphArrays,
+                    ModelConfig, final_states, init_params, prepare_graph,
+                    trunk_names)
 from .tensor import Tensor
 from .training import FitResult, fit
-from .windows import (ALL_EDGE_TYPES, GraphBuildConfig, SPATIAL_EDGE_TYPES,
+from .windows import (ALL_EDGE_TYPES, GraphBuildConfig, INTER_EDGE_TYPES,
                       TemporalGraph)
 
 PRETRAIN_MODES = ("in-context", "out-of-context")
@@ -69,91 +70,73 @@ class PretrainCorpus:
         return "\n".join(lines) + "\n"
 
 
-def sample_negatives(graph: TemporalGraph, arrays: GraphArrays, ratio: float,
-                     rng: T.Rng, max_attempts: int = 100) -> LinkPredTask:
+def sample_negatives(arrays: GraphArrays, ratio: float, rng: T.Rng,
+                     max_attempts: int = 100) -> LinkPredTask:
     """Sample floor(ratio * |positives|) negatives per edge type.
 
-    One endpoint of a positive edge is resampled uniformly among nodes of
-    the same kind with the same window relationship (same window for
-    spatial/intra types, time-ordered windows for inter types). Candidates
-    already positive or already sampled are rejected; after `max_attempts`
-    failures per negative the shortfall is recorded instead. `arrays` is
-    `prepare_graph(graph, ...)`, whose node indices the edges use.
+    Each negative starts from a positive edge drawn uniformly and replaces
+    one endpoint, chosen uniformly, by a node of the same kind in the same
+    window as the kept endpoint (spatial and intra types), or in any earlier
+    window for a source and any later window for a destination (inter
+    types). Those nodes are one contiguous row range of `arrays`, never
+    empty because it holds the replaced endpoint itself. Every pending
+    negative of a type draws its side and candidate at once, in up to
+    `max_attempts` rounds. A round rejects self-loops, candidates already
+    positive or already accepted, and all but the first of equal
+    candidates; rejected negatives keep their base edge and draw again next
+    round. Negatives still pending after the last round are counted in
+    `shortfall[etype]`.
     """
-    n_flows = arrays.n_flows
-
-    flow_window = np.zeros(n_flows, dtype=np.int64)
-    ip_window = np.zeros(arrays.n_ips, dtype=np.int64)
-    flows_in: list[list[int]] = []
-    ips_in: list[list[int]] = []
-    pos = 0
-    ipos = 0
-    for w, snap in enumerate(graph.snapshots):
-        flows_in.append(list(range(pos, pos + snap.num_flows)))
-        ips_in.append(list(range(n_flows + ipos, n_flows + ipos + snap.num_ips)))
-        flow_window[pos:pos + snap.num_flows] = w
-        ip_window[ipos:ipos + snap.num_ips] = w
-        pos += snap.num_flows
-        ipos += snap.num_ips
-
-    def window_of(node: int) -> int:
-        return int(flow_window[node]) if node < n_flows \
-            else int(ip_window[node - n_flows])
-
-    def pool(etype: str, side: int, other: int) -> list[int]:
-        w = window_of(other)
-        if etype in ("intra_src", "intra_dst"):
-            return flows_in[w]
-        if etype in SPATIAL_EDGE_TYPES:
-            flow_side = 0 if etype.startswith("flow") else 1
-            wants_flow = side == flow_side
-            return flows_in[w] if wants_flow else ips_in[w]
-        # inter types: src strictly before the kept dst, or dst strictly after
-        pools = flows_in if etype == "inter_flow" else ips_in
-        if side == 0:
-            return [n for ww in range(0, w) for n in pools[ww]]
-        return [n for ww in range(w + 1, len(pools)) for n in pools[ww]]
-
+    n = arrays.num_nodes
     positives: dict = {}
     negatives: dict = {}
     shortfall: dict = {}
     for etype in ALL_EDGE_TYPES:
         src, dst = arrays.edges[etype]
-        pairs = list(zip(src.tolist(), dst.tolist()))
         positives[etype] = (src.copy(), dst.copy())
-        want = int(ratio * len(pairs))
-        used = set(pairs)
-        found: list[tuple[int, int]] = []
-        missing = 0
-        for i in range(want):
-            base = pairs[int(rng.integers(0, len(pairs)))]
-            ok = False
-            for _ in range(max_attempts):
-                side = int(rng.integers(0, 2))
-                other = base[1 - side]
-                candidates = pool(etype, side, other)
-                if not candidates:
-                    break
-                new = candidates[int(rng.integers(0, len(candidates)))]
-                cand = (new, other) if side == 0 else (other, new)
-                if cand[0] == cand[1] or cand in used:
-                    continue
-                used.add(cand)
-                found.append(cand)
-                ok = True
+        base = rng.integers(0, len(src), int(ratio * len(src)))
+        neg = np.stack([src[base], dst[base]])     # rows: sources, destinations
+        done = np.zeros(len(base), dtype=bool)
+        taken = src * n + dst                       # pair keys already used
+        for _ in range(max_attempts):
+            todo = np.flatnonzero(~done)
+            if len(todo) == 0:
                 break
-            if not ok:
-                missing += 1
-        if missing:
-            shortfall[etype] = missing
-        if found:
-            ns, nd = zip(*found)
-            negatives[etype] = (np.asarray(ns, dtype=np.int64),
-                                np.asarray(nd, dtype=np.int64))
-        else:
-            negatives[etype] = (np.zeros(0, dtype=np.int64),
-                                np.zeros(0, dtype=np.int64))
+            side = rng.integers(0, 2, len(todo))    # endpoint to replace
+            cand = neg[:, todo]
+            cand[side, np.arange(len(todo))] = rng.integers(
+                *_candidate_rows(arrays, etype, side, neg[1 - side, todo]))
+            key = cand[0] * n + cand[1]
+            ok = (cand[0] != cand[1]) & ~np.isin(key, taken)
+            kept = np.flatnonzero(ok)
+            kept = kept[np.unique(key[kept], return_index=True)[1]]
+            taken = np.concatenate([taken, key[kept]])
+            neg[:, todo[kept]] = cand[:, kept]
+            done[todo[kept]] = True
+        if not done.all():
+            shortfall[etype] = int((~done).sum())
+        negatives[etype] = (neg[0, done], neg[1, done])
     return LinkPredTask(positives, negatives, ratio, shortfall)
+
+
+def _candidate_rows(arrays: GraphArrays, etype: str, side: np.ndarray,
+                    kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row range [lo, hi) of the legal replacements for endpoint `side`
+    (0 source, 1 destination) of `etype` edges whose other endpoint is
+    `kept`."""
+    kinds = ENDPOINT_KINDS[etype]
+    lo, hi = np.empty((2, len(side)), dtype=np.int64)
+    for s in (0, 1):
+        at = side == s
+        rows = arrays.window_bounds[kinds[s]]
+        w = np.searchsorted(arrays.window_bounds[kinds[1 - s]], kept[at],
+                            side="right") - 1
+        if etype not in INTER_EDGE_TYPES:
+            first, last = w, w + 1
+        else:  # earlier windows for a source, later ones for a destination
+            first, last = (0, w) if s == 0 else (w + 1, -1)
+        lo[at], hi[at] = rows[first], rows[last]
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +208,8 @@ def pretrain(corpus: PretrainCorpus, graphs: Sequence[TemporalGraph],
     """Minimize BCE over positive/negative edges of all types across the
     corpus graphs, one Adam step per graph; negatives are resampled every
     epoch from a seeded stream. Returns trunk + scorer parameters plus the
-    per-epoch log of edge-weighted loss and accuracy."""
+    per-epoch log of edge-weighted loss, accuracy and shortfall (negatives
+    missing per scored edge)."""
     if not graphs:
         raise ValueError("empty pre-training corpus: no graphs")
     rng = T.Rng(seed)
@@ -233,16 +217,17 @@ def pretrain(corpus: PretrainCorpus, graphs: Sequence[TemporalGraph],
                          rng.child("trunk"))
     params.update(init_scorer_params(model_config, rng.child("scorers")))
     neg_rng = rng.child("negatives")
-    prepared = [(prepare_graph(g, graph_config), g) for g in graphs]
+    prepared = [prepare_graph(g, graph_config) for g in graphs]
 
     def steps(epoch):
-        for gi, (arrays, graph) in enumerate(prepared):
-            task = sample_negatives(graph, arrays, negative_ratio,
+        for gi, arrays in enumerate(prepared):
+            task = sample_negatives(arrays, negative_ratio,
                                     neg_rng.child(f"{epoch}:{gi}"))
             loss, logits, targets = link_pred_loss(arrays, task, params,
                                                    model_config)
-            yield loss, len(targets), \
-                {"accuracy": link_pred_accuracy(logits, targets)}
+            yield loss, len(targets), {
+                "accuracy": link_pred_accuracy(logits, targets),
+                "shortfall": sum(task.shortfall.values()) / len(targets)}
 
     return fit(params, epochs, lr, steps)
 

@@ -1,15 +1,21 @@
-"""Reference message passing: the gather + segment-reduce path that the
-sparse-operator kernel in `flowgnn.model` replaced, kept as its oracle.
+"""Reference implementations that faster kernels replaced, kept as oracles.
 
-Each edge type gathers source states per edge, reduces them into all n node
-rows with `np.add.at`, multiplies `states @ W1` over all n rows and masks the
-rows without an incoming edge.
+Message passing: the gather + segment-reduce path that the sparse-operator
+kernel in `flowgnn.model` replaced. Each edge type gathers source states per
+edge, reduces them into all n node rows with `np.add.at`, multiplies
+`states @ W1` over all n rows and masks the rows without an incoming edge.
+
+Negative sampling: the sequential sampler that `flowgnn.pretrain`'s bulk
+rounds replaced. It draws one negative at a time from per-window Python node
+lists and gives up on a negative at its first empty pool.
 """
 
 import numpy as np
 
 from flowgnn import tensor as T
+from flowgnn.pretrain import LinkPredTask
 from flowgnn.tensor import Tensor
+from flowgnn.windows import ALL_EDGE_TYPES, SPATIAL_EDGE_TYPES
 
 
 def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
@@ -70,3 +76,82 @@ def hetero_step(states, arrays, params, layer, phase, etypes, config):
     updated = T.mul_const(act(contrib), touched.astype(np.float64)[:, None])
     kept = T.mul_const(states, (~touched).astype(np.float64)[:, None])
     return T.add(updated, kept)
+
+
+def sample_negatives(graph, arrays, ratio, rng, max_attempts=100):
+    """Sequential stand-in for `flowgnn.pretrain.sample_negatives`; `arrays`
+    is `prepare_graph(graph, ...)`."""
+    n_flows = arrays.n_flows
+
+    flow_window = np.zeros(n_flows, dtype=np.int64)
+    ip_window = np.zeros(arrays.n_ips, dtype=np.int64)
+    flows_in: list[list[int]] = []
+    ips_in: list[list[int]] = []
+    pos = 0
+    ipos = 0
+    for w, snap in enumerate(graph.snapshots):
+        flows_in.append(list(range(pos, pos + snap.num_flows)))
+        ips_in.append(list(range(n_flows + ipos, n_flows + ipos + snap.num_ips)))
+        flow_window[pos:pos + snap.num_flows] = w
+        ip_window[ipos:ipos + snap.num_ips] = w
+        pos += snap.num_flows
+        ipos += snap.num_ips
+
+    def window_of(node: int) -> int:
+        return int(flow_window[node]) if node < n_flows \
+            else int(ip_window[node - n_flows])
+
+    def pool(etype: str, side: int, other: int) -> list[int]:
+        w = window_of(other)
+        if etype in ("intra_src", "intra_dst"):
+            return flows_in[w]
+        if etype in SPATIAL_EDGE_TYPES:
+            flow_side = 0 if etype.startswith("flow") else 1
+            wants_flow = side == flow_side
+            return flows_in[w] if wants_flow else ips_in[w]
+        # inter types: src strictly before the kept dst, or dst strictly after
+        pools = flows_in if etype == "inter_flow" else ips_in
+        if side == 0:
+            return [n for ww in range(0, w) for n in pools[ww]]
+        return [n for ww in range(w + 1, len(pools)) for n in pools[ww]]
+
+    positives: dict = {}
+    negatives: dict = {}
+    shortfall: dict = {}
+    for etype in ALL_EDGE_TYPES:
+        src, dst = arrays.edges[etype]
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        positives[etype] = (src.copy(), dst.copy())
+        want = int(ratio * len(pairs))
+        used = set(pairs)
+        found: list[tuple[int, int]] = []
+        missing = 0
+        for i in range(want):
+            base = pairs[int(rng.integers(0, len(pairs)))]
+            ok = False
+            for _ in range(max_attempts):
+                side = int(rng.integers(0, 2))
+                other = base[1 - side]
+                candidates = pool(etype, side, other)
+                if not candidates:
+                    break
+                new = candidates[int(rng.integers(0, len(candidates)))]
+                cand = (new, other) if side == 0 else (other, new)
+                if cand[0] == cand[1] or cand in used:
+                    continue
+                used.add(cand)
+                found.append(cand)
+                ok = True
+                break
+            if not ok:
+                missing += 1
+        if missing:
+            shortfall[etype] = missing
+        if found:
+            ns, nd = zip(*found)
+            negatives[etype] = (np.asarray(ns, dtype=np.int64),
+                                np.asarray(nd, dtype=np.int64))
+        else:
+            negatives[etype] = (np.zeros(0, dtype=np.int64),
+                                np.zeros(0, dtype=np.int64))
+    return LinkPredTask(positives, negatives, ratio, shortfall)

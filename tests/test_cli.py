@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import records_to_csv, write_schema
+from conftest import mk_flow, records_to_csv, write_schema
 from flowgnn import experiments
 from flowgnn.cli import DEFAULTS, main
-from flowgnn.ingest import build_label_vocabulary, fit_codec, read_flow_cache
+from flowgnn.ingest import (build_label_vocabulary, fit_codec, read_flow_cache,
+                            write_flow_cache)
 from flowgnn.model import (ModelConfig, build_metadata, init_params,
                            save_checkpoint)
 from flowgnn.synth import temporal_pattern
@@ -262,6 +263,18 @@ class TestFinetuneEvaluate:
                      str(bare), "--out-dir", str(tmp_path / "e")])
         assert code == 4
         assert "no target flows" in capsys.readouterr().err
+
+    def test_pretrain_log_reports_shortfall(self, tmp_path):
+        # one flow from a to a: every spatial block is complete, so none of
+        # the four spatial negatives exists and shortfall per scored edge is 1
+        one = tmp_path / "one.pptf"
+        write_flow_cache([mk_flow(0, 0.0, 0.1, src="a", dst="a")], one)
+        assert main(["pretrain", "--cache", str(one), "--out-dir",
+                     str(tmp_path / "pre"), "--mode", "in-context",
+                     *FAST]) == 0
+        log = next((tmp_path / "pre").glob("pretrain_log-*.csv"))
+        header, row = log.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["shortfall"] == "1"
 
     def test_evaluate_rejects_pretrain_checkpoint(self, tmp_path, cache):
         pre_dir = tmp_path / "pre2"

@@ -252,6 +252,19 @@ class TestCache:
         with pytest.raises(ValueError, match=f"offset {record}"):
             read_flow_cache(path)
 
+    @pytest.mark.parametrize("entry", [b"host-x", b"Dos"],
+                             ids=["endpoint-key", "attack-name"])
+    def test_invalid_utf8_names_offset(self, tmp_path, entry):
+        path = tmp_path / "flows.pptf"
+        write_flow_cache([mk_flow(0, 0.0, 1.0, src="host-x",
+                                  attack_name="Dos")], path)
+        raw = path.read_bytes()
+        at = raw.index(entry) + 1
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(ValueError, match=f"invalid UTF-8 in flow cache "
+                                             f"at offset {at}"):
+            read_flow_cache(path)
+
     def test_load_cache_load_roundtrip_ordering(self, tmp_path):
         rows = [f"{i}.0,{i}.5,h{i % 4},sink,1000,80,6,10,5,1,1,0,"
                 for i in (4, 1, 3, 0, 2)]

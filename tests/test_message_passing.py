@@ -79,6 +79,8 @@ def random_arrays(n_flows, n_ips, edge_lists, seed):
         ip_input=rng.normal(size=(n_ips, 3)),
         edges=edges,
         operators={e: edge_operator(s, d, n) for e, (s, d) in edges.items()},
+        window_bounds={"flow": np.array([0, n_flows]),
+                       "ip": np.array([n_flows, n])},
         target_rows=np.arange(n_flows, dtype=np.int64),
         target_flow_ids=tuple(range(n_flows)))
 

@@ -361,6 +361,18 @@ class TestCheckpoint:
                                              f"{len(raw)}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("text", [b"k = v", b"weights"],
+                             ids=["metadata", "tensor-name"])
+    def test_invalid_utf8_names_offset(self, tmp_path, text):
+        path = tmp_path / "one.pptg"
+        save_checkpoint({"weights": Tensor(np.arange(3.0))}, {"k": "v"}, path)
+        raw = path.read_bytes()
+        at = raw.index(text) + 1
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(ValueError, match=f"invalid UTF-8 in checkpoint "
+                                             f"at offset {at}"):
+            load_checkpoint(path)
+
 
 def test_config_items_round_trip():
     config = TrainConfig(epochs=3, lr=0.25, weighted_loss=False, seed=9,

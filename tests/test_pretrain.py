@@ -2,7 +2,10 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_ops
 from conftest import mk_flow, sort_flows
 from flowgnn.ingest import encode_flows, fit_codec, strip_labels
 from flowgnn.model import ModelConfig, init_params, prepare_graph
@@ -12,8 +15,8 @@ from flowgnn.pretrain import (PretrainCorpus, init_scorer_params,
 from flowgnn.model import CompatibilityError
 from flowgnn.synth import temporal_pattern
 from flowgnn.tensor import Rng
-from flowgnn.windows import (GraphBuildConfig, build_temporal_graphs,
-                             dump_temporal_graph)
+from flowgnn.windows import (ALL_EDGE_TYPES, GraphBuildConfig,
+                             build_temporal_graphs, dump_temporal_graph)
 
 GC = GraphBuildConfig(window_size=5.0, window_memory=2)
 MC = ModelConfig(num_classes=2, hidden_size=8, classifier_hidden=8,
@@ -32,7 +35,7 @@ class TestSampleNegatives:
     def test_exact_count_and_disjoint_from_positives(self):
         graphs, _ = toy_graphs(12)
         graph = graphs[-1]
-        task = sample_negatives(graph, prepare_graph(graph, GC), 1.0, Rng(5))
+        task = sample_negatives(prepare_graph(graph, GC), 1.0, Rng(5))
         for etype, (ps, pd) in task.positives.items():
             pos = set(zip(ps.tolist(), pd.tolist()))
             ns, nd = task.negatives[etype]
@@ -45,8 +48,8 @@ class TestSampleNegatives:
     def test_identical_seed_identical_negatives(self):
         graphs, _ = toy_graphs(12)
         arrays = prepare_graph(graphs[-1], GC)
-        a = sample_negatives(graphs[-1], arrays, 1.0, Rng(9))
-        b = sample_negatives(graphs[-1], arrays, 1.0, Rng(9))
+        a = sample_negatives(arrays, 1.0, Rng(9))
+        b = sample_negatives(arrays, 1.0, Rng(9))
         for etype in a.negatives:
             assert np.array_equal(a.negatives[etype][0], b.negatives[etype][0])
             assert np.array_equal(a.negatives[etype][1], b.negatives[etype][1])
@@ -56,8 +59,7 @@ class TestSampleNegatives:
         flows = [mk_flow(0, 0.0, 0.1, src="a", dst="a")]
         codec = fit_codec(flows)
         graphs = build_temporal_graphs(flows, GC, encode_flows(flows, codec))
-        task = sample_negatives(graphs[0], prepare_graph(graphs[0], GC), 1.0,
-                                Rng(1))
+        task = sample_negatives(prepare_graph(graphs[0], GC), 1.0, Rng(1))
         for etype in ("flow_to_src", "src_to_flow", "flow_to_dst",
                       "dst_to_flow"):
             assert len(task.negatives[etype][0]) == 0
@@ -77,11 +79,97 @@ class TestSampleNegatives:
             for _ in snap.ip_nodes:
                 window_of[n_flows + ipos] = w
                 ipos += 1
-        task = sample_negatives(graph, arrays, 1.0, Rng(3))
+        task = sample_negatives(arrays, 1.0, Rng(3))
         for etype in ("inter_ip", "inter_flow"):
             ns, nd = task.negatives[etype]
             for s, d in zip(ns.tolist(), nd.tolist()):
                 assert window_of[s] < window_of[d]
+
+
+# (source kind, destination kind) of each edge type, as the window graph
+# builder defines its edge lists; inter types join earlier to later windows
+ORACLE_KINDS = {"flow_to_src": ("flow", "ip"), "src_to_flow": ("ip", "flow"),
+                "flow_to_dst": ("flow", "ip"), "dst_to_flow": ("ip", "flow"),
+                "intra_src": ("flow", "flow"), "intra_dst": ("flow", "flow"),
+                "inter_ip": ("ip", "ip"), "inter_flow": ("flow", "flow")}
+
+
+def oracle_negatives(graph, etype):
+    """(positives, legal negatives) of `etype` by enumerating node pairs.
+
+    Rows follow the documented layout, rebuilt from the snapshots: every
+    window's flows, then every window's IPs. A legal negative has the
+    type's endpoint kinds, the same window at both ends (an earlier source
+    window for inter types), no self-loop, is not a positive, and keeps the
+    source or the destination of some positive.
+    """
+    cells = [("flow", w, i) for w, snap in enumerate(graph.snapshots)
+             for i in range(snap.num_flows)]
+    cells += [("ip", w, i) for w, snap in enumerate(graph.snapshots)
+              for i in range(snap.num_ips)]
+    row = {cell: r for r, cell in enumerate(cells)}
+    src_kind, dst_kind = ORACLE_KINDS[etype]
+    inter = etype.startswith("inter")
+    if inter:
+        pairs = getattr(graph, f"{etype}_edges")
+    else:
+        pairs = [((w, i), (w, j)) for w, snap in enumerate(graph.snapshots)
+                 for i, j in getattr(snap, etype)]
+    positives = {(row[(src_kind, *u)], row[(dst_kind, *v)]) for u, v in pairs}
+    sources = {u for u, _ in positives}
+    targets = {v for _, v in positives}
+    legal = set()
+    for u, (ku, wu, _) in enumerate(cells):
+        for v, (kv, wv, _) in enumerate(cells):
+            if (ku, kv) != (src_kind, dst_kind) or u == v \
+                    or (u, v) in positives:
+                continue
+            if (wu < wv if inter else wu == wv) \
+                    and (u in sources or v in targets):
+                legal.add((u, v))
+    return positives, legal
+
+
+def assert_legal_sample(task, graph, ratio):
+    for etype in ALL_EDGE_TYPES:
+        positives, legal = oracle_negatives(graph, etype)
+        ps, pd = task.positives[etype]
+        assert set(zip(ps.tolist(), pd.tolist())) == positives
+        ns, nd = task.negatives[etype]
+        negatives = list(zip(ns.tolist(), nd.tolist()))
+        assert set(negatives) <= legal, etype
+        assert len(set(negatives)) == len(negatives), etype
+        assert len(negatives) + task.shortfall.get(etype, 0) == \
+            int(ratio * len(ps)), etype
+
+
+@settings(max_examples=60, deadline=None)
+@given(flows=st.lists(st.tuples(st.sampled_from((0.0, 0.5, 4.0, 7.5, 12.0)),
+                                st.sampled_from((0.1, 1.0, 6.0)),
+                                st.integers(0, 2), st.integers(0, 2)),
+                      min_size=1, max_size=10),
+       one_window=st.booleans(), single_ip=st.booleans(),
+       ratio=st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_negatives_are_legal_distinct_and_counted(flows, one_window,
+                                                  single_ip, ratio, seed):
+    # duplicate flows come from the small value pools; `one_window` packs
+    # every flow into the first window; `single_ip` saturates the spatial
+    # blocks (every flow joins the one IP)
+    records = sort_flows([
+        mk_flow(k, start / 10 if one_window else start,
+                (start / 10 + 0.1) if one_window else start + duration,
+                src="h0" if single_ip else f"h{a}",
+                dst="h0" if single_ip else f"h{b}")
+        for k, (start, duration, a, b) in enumerate(flows)])
+    codec = fit_codec(records)
+    graphs = build_temporal_graphs(records, GC, encode_flows(records, codec))
+    for gi, graph in enumerate(graphs):
+        arrays = prepare_graph(graph, GC)
+        assert_legal_sample(sample_negatives(arrays, ratio, Rng(seed + gi)),
+                            graph, ratio)
+        assert_legal_sample(reference_ops.sample_negatives(
+            graph, arrays, ratio, Rng(seed + gi)), graph, ratio)
 
 
 class TestScorer:
@@ -96,7 +184,7 @@ class TestScorer:
         correct = total = 0
         for gi, graph in enumerate(graphs):
             arrays = prepare_graph(graph, GC)
-            task = sample_negatives(graph, arrays, 1.0, Rng(gi))
+            task = sample_negatives(arrays, 1.0, Rng(gi))
             _, logits, targets = link_pred_loss(arrays, task, params, MC)
             correct += link_pred_accuracy(logits, targets) * len(targets)
             total += len(targets)

@@ -359,7 +359,8 @@ class TestHarnesses:
         data, config = prepared_dataset(records)
         results = ablation_suite(data, config, GC,
                                  TrainConfig(epochs=3, lr=0.01, seed=1),
-                                 pretrain_epochs=2)
+                                 pretrain_epochs=2, pretrain_lr=0.0001,
+                                 negative_ratio=1.0)
         assert [name for name, _ in results] == \
             ["spatial_only", "temporal", "pretrained"]
         supports = [tuple(c.support for c in r.per_class)
