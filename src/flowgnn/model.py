@@ -104,6 +104,25 @@ def _sum_matrix(row: np.ndarray, col: np.ndarray, shape) -> sparse.csr_array:
                             shape=shape)
 
 
+@dataclass(frozen=True)
+class RowGather:
+    """Row gather `x[idx]` as the product `T.spmm(gather, x)`.
+
+    `matrix` is the (len(idx), n) one-hot incidence CSR matrix and
+    `transpose` its (n, len(idx)) transpose, whose backward product sums the
+    gradient rows of a repeated index in index order.
+    """
+
+    matrix: sparse.csr_array
+    transpose: sparse.csr_array
+
+
+def row_gather(idx: np.ndarray, num_rows: int) -> RowGather:
+    slot = np.arange(len(idx))
+    return RowGather(_sum_matrix(slot, idx, (len(idx), num_rows)),
+                     _sum_matrix(idx, slot, (num_rows, len(idx))))
+
+
 def edge_operator(src: np.ndarray, dst: np.ndarray,
                   num_nodes: int) -> EdgeOperator:
     rows, slot, degree = np.unique(dst, return_inverse=True,
@@ -297,8 +316,9 @@ def _aggregate(states: Tensor, edges, op: EdgeOperator,
     """In-neighbour states aggregated per destination row of `op`."""
     if aggregator == "max":
         src, dst = edges
-        return T.segment_max(T.gather_rows(states, src),
-                             np.searchsorted(op.rows, dst), len(op.rows))
+        sources = T.spmm(row_gather(src, len(states.data)), states)
+        return T.segment_max(sources, np.searchsorted(op.rows, dst),
+                             len(op.rows))
     total = T.spmm(op, states)
     return total if aggregator == "sum" else T.div_const(total, op.degree[:, None])
 
@@ -350,8 +370,9 @@ def spatial_step(states: Tensor, arrays: GraphArrays,
 
 def classify(states: Tensor, rows: np.ndarray, params: Mapping[str, Tensor],
              config: ModelConfig) -> Tensor:
+    """Classifier logits of the distinct node `rows`."""
     act = T.ACTIVATIONS[config.activation]
-    x = T.gather_rows(states, rows)
+    x = T.take_rows(states, rows)
     n_layers = len(classifier_dims(config))
     for i in range(n_layers):
         x = T.add(T.matmul(x, params[f"classifier.{i}.W"]),

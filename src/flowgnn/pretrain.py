@@ -2,11 +2,13 @@
 
 Graphs are corrupted with sampled negative edges per edge type (uniform
 endpoint resampling among type-compatible nodes, rejection-sampled against
-the positive set). A per-edge-type two-layer perceptron scores concatenated
-endpoint states from the shared GNN trunk as a binary positive/negative
-classifier. After pre-training, trunk weights transfer into a fine-tuning
-parameter set; the edge scorers are discarded and the classifier head is
-re-initialized.
+the positive set). A per-edge-type two-layer perceptron on an edge's
+(source state || destination state), from the shared GNN trunk, scores it
+as a binary positive/negative classifier. Its first layer is split into
+source and destination halves: every node state is projected by each half
+once, and each edge gathers and adds its endpoints' projections. After
+pre-training, trunk weights transfer into a fine-tuning parameter set; the
+edge scorers are discarded and the classifier head is re-initialized.
 
 The whole path is label-free: snapshots carry no labels, and corpora list
 only unlabeled flow caches.
@@ -22,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .model import (CompatibilityError, ENDPOINT_KINDS, GraphArrays,
                     ModelConfig, final_states, init_params, prepare_graph,
-                    trunk_names)
+                    row_gather, trunk_names)
 from .tensor import Tensor
 from .training import FitResult, fit
 from .windows import (ALL_EDGE_TYPES, GraphBuildConfig, INTER_EDGE_TYPES,
@@ -160,11 +162,20 @@ def init_scorer_params(model_config: ModelConfig, rng: T.Rng) -> dict[str, Tenso
 
 def score_edges(states: Tensor, edges, etype: str,
                 params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
+    """One logit per edge (src[e], dst[e]): the `etype` scorer on the
+    concatenated endpoint states. Its first layer is applied as
+    `states[src] @ W_top + states[dst] @ W_bot`, with W_top and W_bot the
+    source and destination halves of `scorer.{etype}.0.W`: each node is
+    projected once, and the edges gather the projected rows."""
     src, dst = edges
+    n, h = states.data.shape
     act = T.ACTIVATIONS[config.activation]
-    x = T.concat_cols([T.gather_rows(states, src), T.gather_rows(states, dst)])
-    x = act(T.add(T.matmul(x, params[f"scorer.{etype}.0.W"]),
-                  params[f"scorer.{etype}.0.b"]))
+    w = params[f"scorer.{etype}.0.W"]
+    top = T.matmul(states, T.take_rows(w, np.arange(h)))
+    bottom = T.matmul(states, T.take_rows(w, np.arange(h, 2 * h)))
+    x = T.add(T.spmm(row_gather(src, n), top),
+              T.spmm(row_gather(dst, n), bottom))
+    x = act(T.add(x, params[f"scorer.{etype}.0.b"]))
     return T.add(T.matmul(x, params[f"scorer.{etype}.1.W"]),
                  params[f"scorer.{etype}.1.b"])
 
@@ -173,17 +184,19 @@ def link_pred_loss(arrays: GraphArrays, task: LinkPredTask,
                    params: Mapping[str, Tensor],
                    config: ModelConfig) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """BCE over every positive/negative edge of every type; also returns
-    raw logits and targets for accuracy accounting."""
+    raw logits and targets for accuracy accounting. Each type's positives
+    come first, then its negatives, scored in one call."""
     states = final_states(arrays, params, config)
     parts: list[Tensor] = []
     targets: list[np.ndarray] = []
     for etype in ALL_EDGE_TYPES:
-        for edges, value in ((task.positives[etype], 1.0),
-                             (task.negatives[etype], 0.0)):
-            if len(edges[0]) == 0:
-                continue
-            parts.append(score_edges(states, edges, etype, params, config))
-            targets.append(np.full(len(edges[0]), value))
+        (ps, pd), (ns, nd) = task.positives[etype], task.negatives[etype]
+        if len(ps) + len(ns) == 0:
+            continue
+        parts.append(score_edges(states, (np.concatenate([ps, ns]),
+                                          np.concatenate([pd, nd])),
+                                 etype, params, config))
+        targets += [np.ones(len(ps)), np.zeros(len(ns))]
     if not parts:
         raise ValueError("graph has no edges to score")
     logits = T.concat_rows(parts)
@@ -203,8 +216,8 @@ def link_pred_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
 
 def pretrain(corpus: PretrainCorpus, graphs: Sequence[TemporalGraph],
              model_config: ModelConfig, graph_config: GraphBuildConfig,
-             feature_dim: int, epochs: int, lr: float = 0.0001,
-             negative_ratio: float = 1.0, seed: int = 0) -> FitResult:
+             feature_dim: int, epochs: int, lr: float, negative_ratio: float,
+             seed: int = 0) -> FitResult:
     """Minimize BCE over positive/negative edges of all types across the
     corpus graphs, one Adam step per graph; negatives are resampled every
     epoch from a seeded stream. Returns trunk + scorer parameters plus the

@@ -1,11 +1,14 @@
 """Minimal dense numerical substrate: float64 tensors with reverse-mode
-gradients over the fixed set of operations the flow-graph model needs,
-plus losses, the Adam optimizer, a seeded RNG, and a finite-difference
-gradient checker.
+gradients over the fixed set of operations the flow-graph model needs
+(`add`, `scale`, `mul_const`, `div_const`, `matmul`, the activations,
+`concat_rows`, `take_rows`/`put_rows` on distinct rows, `spmm`,
+`segment_max` and `sum_all`), plus losses, the Adam optimizer, a seeded
+RNG, and a finite-difference gradient checker.
 
 Everything is numpy under the hood, except that `spmm` multiplies by a
-scipy CSR operator the caller builds; gradients are implemented per
-operation on a small tape (parent links + backward closures).
+scipy CSR operator the caller builds (a neighbour sum, or a one-hot row
+gather whose indices may repeat); gradients are implemented per operation
+on a small tape (parent links + backward closures).
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +169,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
     return Tensor(np.concatenate([p.data for p in parts], axis=0),
                   parents=tuple(parts), backward=bw)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    sizes = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p._accum(g[:, lo:hi])
-
-    return Tensor(np.concatenate([p.data for p in parts], axis=1),
-                  parents=tuple(parts), backward=bw)
-
-
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def bw(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
-        x._accum(buf)
-
-    return Tensor(x.data[idx], parents=(x,), backward=bw)
 
 
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
@@ -414,9 +390,6 @@ class Rng:
 
     def integers(self, low: int, high: int, shape=None):
         return self._gen.integers(low, high, size=shape)
-
-    def shuffle(self, seq: list) -> None:
-        self._gen.shuffle(seq)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -201,7 +201,7 @@ def train(train_graphs: Sequence[TemporalGraph],
             loss = None
             for arrays, positions, classes in batch:
                 _, logits = forward_prepared(arrays, params, model_config)
-                ce = T.cross_entropy(T.gather_rows(logits, positions), classes,
+                ce = T.cross_entropy(T.take_rows(logits, positions), classes,
                                      class_weights=weights, reduction="sum")
                 loss = ce if loss is None else T.add(loss, ce)
             n = sum(len(positions) for _, positions, _ in batch)

@@ -8,14 +8,45 @@ edge, reduces them into all n node rows with `np.add.at`, multiplies
 Negative sampling: the sequential sampler that `flowgnn.pretrain`'s bulk
 rounds replaced. It draws one negative at a time from per-window Python node
 lists and gives up on a negative at its first empty pool.
+
+Edge scoring: the scorer that `flowgnn.pretrain.score_edges`'s
+project-then-gather form replaced. It gathers both endpoint states of every
+edge, concatenates them into an E x 2h matrix and multiplies that by the
+first-layer weight, scoring a type's positives and negatives in two calls;
+the gathers scatter-add their gradients with `np.add.at`.
 """
 
 import numpy as np
 
 from flowgnn import tensor as T
+from flowgnn.model import final_states
 from flowgnn.pretrain import LinkPredTask
 from flowgnn.tensor import Tensor
 from flowgnn.windows import ALL_EDGE_TYPES, SPATIAL_EDGE_TYPES
+
+
+def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """x[idx]; indices may repeat."""
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def bw(g):
+        buf = np.zeros_like(x.data)
+        np.add.at(buf, idx, g)
+        x._accum(buf)
+
+    return Tensor(x.data[idx], parents=(x,), backward=bw)
+
+
+def concat_cols(parts) -> Tensor:
+    sizes = [p.data.shape[1] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def bw(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            p._accum(g[:, lo:hi])
+
+    return Tensor(np.concatenate([p.data for p in parts], axis=1),
+                  parents=tuple(parts), backward=bw)
 
 
 def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
@@ -63,7 +94,7 @@ def hetero_step(states, arrays, params, layer, phase, etypes, config):
             continue
         w1 = params[f"layer{layer}.{phase}.{etype}.W1"]
         w2 = params[f"layer{layer}.{phase}.{etype}.W2"]
-        neigh = reduce(T.gather_rows(states, src), dst, n)
+        neigh = reduce(gather_rows(states, src), dst, n)
         mask = np.zeros(n)
         mask[dst] = 1.0
         term = T.mul_const(T.add(T.matmul(states, w1), T.matmul(neigh, w2)),
@@ -155,3 +186,35 @@ def sample_negatives(graph, arrays, ratio, rng, max_attempts=100):
             negatives[etype] = (np.zeros(0, dtype=np.int64),
                                 np.zeros(0, dtype=np.int64))
     return LinkPredTask(positives, negatives, ratio, shortfall)
+
+
+def score_edges(states, edges, etype, params, config):
+    """Drop-in replacement for `flowgnn.pretrain.score_edges`."""
+    src, dst = edges
+    act = T.ACTIVATIONS[config.activation]
+    x = concat_cols([gather_rows(states, src), gather_rows(states, dst)])
+    x = act(T.add(T.matmul(x, params[f"scorer.{etype}.0.W"]),
+                  params[f"scorer.{etype}.0.b"]))
+    return T.add(T.matmul(x, params[f"scorer.{etype}.1.W"]),
+                 params[f"scorer.{etype}.1.b"])
+
+
+def link_pred_loss(arrays, task, params, config):
+    """`flowgnn.pretrain.link_pred_loss` as it was with this module's
+    `score_edges`: one call for a type's positives, one for its negatives."""
+    states = final_states(arrays, params, config)
+    parts = []
+    targets = []
+    for etype in ALL_EDGE_TYPES:
+        for edges, value in ((task.positives[etype], 1.0),
+                             (task.negatives[etype], 0.0)):
+            if len(edges[0]) == 0:
+                continue
+            parts.append(score_edges(states, edges, etype, params, config))
+            targets.append(np.full(len(edges[0]), value))
+    if not parts:
+        raise ValueError("graph has no edges to score")
+    logits = T.concat_rows(parts)
+    target_vec = np.concatenate(targets)
+    loss = T.binary_cross_entropy(logits, target_vec)
+    return loss, logits.data.reshape(-1), target_vec

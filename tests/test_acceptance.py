@@ -373,12 +373,12 @@ def fewshot_env():
         PretrainCorpus(datasets=(("netA", "-"),), mode="in-context",
                        target_dataset="netA"),
         unlabeled_graphs(target), config, gc, fd, epochs=40, lr=0.001,
-        seed=0).params
+        negative_ratio=1.0, seed=0).params
     base_out = pretrain(
         PretrainCorpus(datasets=(("netB", "-"), ("netC", "-")),
                        mode="out-of-context", target_dataset="netA"),
         unlabeled_graphs(others[0]) + unlabeled_graphs(others[1]), config,
-        gc, fd, epochs=40, lr=0.001, seed=0).params
+        gc, fd, epochs=40, lr=0.001, negative_ratio=1.0, seed=0).params
     return gc, data, config, base_in, base_out
 
 

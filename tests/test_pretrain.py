@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 import reference_ops
 from conftest import mk_flow, sort_flows
+from flowgnn import tensor as T
 from flowgnn.ingest import encode_flows, fit_codec, strip_labels
 from flowgnn.model import ModelConfig, init_params, prepare_graph
-from flowgnn.pretrain import (PretrainCorpus, init_scorer_params,
-                              link_pred_accuracy, link_pred_loss, pretrain,
-                              sample_negatives, transfer_weights)
+from flowgnn.pretrain import (LinkPredTask, PretrainCorpus,
+                              init_scorer_params, link_pred_accuracy,
+                              link_pred_loss, pretrain, sample_negatives,
+                              transfer_weights)
 from flowgnn.model import CompatibilityError
 from flowgnn.synth import temporal_pattern
 from flowgnn.tensor import Rng
 from flowgnn.windows import (ALL_EDGE_TYPES, GraphBuildConfig,
                              build_temporal_graphs, dump_temporal_graph)
+from test_message_passing import FEATURES, SMALL_GC, edge_list, random_arrays
 
 GC = GraphBuildConfig(window_size=5.0, window_memory=2)
 MC = ModelConfig(num_classes=2, hidden_size=8, classifier_hidden=8,
@@ -192,6 +195,107 @@ class TestScorer:
         assert abs(correct / total - 0.5) < 0.1
 
 
+LOGIT_ATOL = 1e-12
+GRAD_RTOL = 1e-12
+
+
+def link_pred_run(loss_fn, arrays, task, params, config):
+    T.zero_grads(params)
+    loss, logits, targets = loss_fn(arrays, task, params, config)
+    loss.backward()
+    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for name, p in params.items()}
+    return loss.item(), logits, targets, grads
+
+
+def assert_scorer_matches_reference(arrays, task, params, config):
+    """Loss, logits, targets and every parameter gradient of
+    `link_pred_loss` against the concatenating reference scorer."""
+    loss, logits, targets, grads = link_pred_run(link_pred_loss, arrays,
+                                                 task, params, config)
+    ref_loss, ref_logits, ref_targets, ref_grads = link_pred_run(
+        reference_ops.link_pred_loss, arrays, task, params, config)
+    assert np.array_equal(targets, ref_targets)
+    assert logits.shape == ref_logits.shape
+    assert np.abs(logits - ref_logits).max() <= LOGIT_ATOL
+    assert abs(loss - ref_loss) <= LOGIT_ATOL
+    for name, ref in ref_grads.items():
+        scale = np.abs(ref).max(initial=0.0)
+        err = np.abs(grads[name] - ref).max(initial=0.0)
+        assert err <= GRAD_RTOL * scale, (name, err, scale)
+
+
+def scorer_params(config, feature_dim, graph_config, seed):
+    params = init_params(config, feature_dim, graph_config, Rng(seed))
+    params.update(init_scorer_params(config, Rng(seed).child("scorers")))
+    return params
+
+
+@pytest.mark.parametrize("ratio", (0.0, 1.0, 2.0))
+def test_synth_link_prediction_matches_reference(ratio):
+    gc = GraphBuildConfig(window_size=5.0, window_memory=3)
+    records = temporal_pattern(n_windows=8, sources_per_window=3, burst_len=4,
+                               seed=17)
+    codec = fit_codec(records)
+    graphs = build_temporal_graphs(records, gc, encode_flows(records, codec))
+    params = scorer_params(MC, codec.feature_dim, gc, 29)
+    prepared = [prepare_graph(g, gc) for g in graphs[-3:]]
+    assert all(any(len(a.edges[e][0]) for a in prepared) for e in ALL_EDGE_TYPES)
+    for gi, arrays in enumerate(prepared):
+        task = sample_negatives(arrays, ratio, Rng(gi))
+        assert_scorer_matches_reference(arrays, task, params, MC)
+
+
+def as_edges(pairs, n):
+    return (np.array([s % n for s, _ in pairs], dtype=np.int64),
+            np.array([d % n for _, d in pairs], dtype=np.int64))
+
+
+# Small node counts make duplicate positives, negatives that repeat each
+# other or a positive, and empty edge types common.
+@settings(max_examples=60, deadline=None)
+@given(n_flows=st.integers(1, 6), n_ips=st.integers(0, 4),
+       edge_lists=st.lists(edge_list, min_size=8, max_size=8),
+       negative_lists=st.lists(edge_list, min_size=8, max_size=8),
+       no_negatives=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_generated_link_prediction_matches_reference(
+        n_flows, n_ips, edge_lists, negative_lists, no_negatives, seed):
+    arrays = random_arrays(n_flows, n_ips, edge_lists, seed)
+    n = arrays.num_nodes
+    negatives = {etype: as_edges([] if no_negatives else pairs, n)
+                 for etype, pairs in zip(ALL_EDGE_TYPES, negative_lists)}
+    task = LinkPredTask(arrays.edges, negatives, 0.0 if no_negatives else 1.0)
+    config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4)
+    params = scorer_params(config, FEATURES, SMALL_GC, seed)
+    if not any(len(src) for src, _ in (*arrays.edges.values(),
+                                       *negatives.values())):
+        for loss_fn in (link_pred_loss, reference_ops.link_pred_loss):
+            with pytest.raises(ValueError, match="no edges"):
+                loss_fn(arrays, task, params, config)
+        return
+    assert_scorer_matches_reference(arrays, task, params, config)
+
+
+def test_link_prediction_gradient_check():
+    # a repeated positive, a negative equal to a positive, a type with
+    # negatives only and one with positives only; the rest are empty
+    lists = [[] for _ in ALL_EDGE_TYPES]
+    negative_lists = [[] for _ in ALL_EDGE_TYPES]
+    lists[ALL_EDGE_TYPES.index("intra_src")] = [(0, 2), (0, 2), (3, 1)]
+    negative_lists[ALL_EDGE_TYPES.index("intra_src")] = [(2, 3), (3, 1)]
+    lists[ALL_EDGE_TYPES.index("flow_to_src")] = [(0, 4), (2, 4)]
+    negative_lists[ALL_EDGE_TYPES.index("inter_flow")] = [(1, 3)]
+    arrays = random_arrays(4, 1, lists, 3)
+    task = LinkPredTask(arrays.edges,
+                        {etype: as_edges(pairs, 5) for etype, pairs
+                         in zip(ALL_EDGE_TYPES, negative_lists)}, 1.0)
+    config = ModelConfig(num_classes=2, num_layers=1, hidden_size=3,
+                         classifier_hidden=3)
+    params = scorer_params(config, FEATURES, SMALL_GC, 11)
+    assert T.check_gradients(
+        lambda p: link_pred_loss(arrays, task, p, config)[0], params) < 1e-8
+
+
 class TestPretrain:
     def test_loss_decreases_after_one_epoch_median(self):
         graphs, codec = toy_graphs(14)
@@ -199,7 +303,8 @@ class TestPretrain:
         deltas = []
         for seed in range(10):
             result = pretrain(corpus, graphs, MC, GC, codec.feature_dim,
-                              epochs=2, lr=0.001, seed=seed)
+                              epochs=2, lr=0.001, negative_ratio=1.0,
+                              seed=seed)
             deltas.append(result.log[1]["loss"] - result.log[0]["loss"])
         assert statistics.median(deltas) < 0
 
@@ -207,7 +312,8 @@ class TestPretrain:
         graphs, codec = toy_graphs(6)
         corpus = PretrainCorpus(datasets=(("toy", "x"),), mode="in-context")
         with pytest.raises(ValueError, match="empty"):
-            pretrain(corpus, (), MC, GC, codec.feature_dim, epochs=1)
+            pretrain(corpus, (), MC, GC, codec.feature_dim, epochs=1,
+                     lr=0.0001, negative_ratio=1.0)
 
     def test_label_free_by_construction(self):
         records = temporal_pattern(n_windows=6, seed=7)
@@ -243,7 +349,7 @@ class TestTransfer:
         graphs, codec = toy_graphs(10)
         corpus = PretrainCorpus(datasets=(("toy", "x"),), mode="in-context")
         pre = pretrain(corpus, graphs, MC, GC, codec.feature_dim, epochs=1,
-                       seed=0)
+                       lr=0.0001, negative_ratio=1.0, seed=0)
         transferred = transfer_weights(pre.params, MC, GC, codec.feature_dim,
                                        Rng(42))
         for name, p in transferred.items():
@@ -263,7 +369,7 @@ class TestTransfer:
         graphs, codec = toy_graphs(8)
         corpus = PretrainCorpus(datasets=(("toy", "x"),), mode="in-context")
         pre = pretrain(corpus, graphs, MC, GC, codec.feature_dim, epochs=1,
-                       seed=0)
+                       lr=0.0001, negative_ratio=1.0, seed=0)
         with pytest.raises(CompatibilityError, match="encoder.flow.W"):
             transfer_weights(pre.params, MC, GC, codec.feature_dim + 4,
                              Rng(42))

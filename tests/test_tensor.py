@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgnn import tensor as T
-from flowgnn.model import edge_operator
-from reference_ops import SEGMENT_REDUCERS, segment_mean
+from flowgnn.model import edge_operator, row_gather
+from reference_ops import (SEGMENT_REDUCERS, concat_cols, gather_rows,
+                           segment_mean)
 from flowgnn.tensor import AdamState, Rng, Tensor, adam_step
 
 
@@ -91,11 +92,22 @@ class TestOps:
         idx = np.array([0, 2, 2, 3])
 
         def f(params):
-            g = T.gather_rows(params["x"], idx)
-            c = T.concat_cols([g, T.gather_rows(params["y"], idx)])
+            g = gather_rows(params["x"], idx)
+            c = concat_cols([g, gather_rows(params["y"], idx)])
             return T.sum_all(T.leaky_relu(c))
 
         assert T.check_gradients(f, {"x": x, "y": y}) < 1e-8
+
+    def test_row_gather_matches_reference_gather(self):
+        x = rand_tensor(Rng(14), (5, 3))
+        idx = np.array([4, 1, 4, 0, 4, 1])       # repeats; row 2, 3 unused
+        g = Rng(15).normal((len(idx), 3))
+        out = T.spmm(row_gather(idx, 5), x)
+        assert np.array_equal(out.data, x.data[idx])
+        out._backward(g)
+        ref = Tensor(x.data)
+        gather_rows(ref, idx)._backward(g)
+        assert np.array_equal(x.grad, ref.grad)
 
     def test_add_bias_broadcast_gradient(self):
         rng = Rng(6)
