@@ -12,10 +12,14 @@ and the per-type results are summed across edge types before the
 non-linearity. Nodes untouched by a step pass through unchanged. Final
 target-window flow states feed a small MLP classifier.
 
-Aggregation runs on per-graph sparse operators: `prepare_graph` builds, once
-per graph and edge type, a CSR matrix summing in-neighbour states into each
-destination row (plus its transpose for the backward pass), and both W
-products are taken on destination rows only.
+Each step runs on a per-graph plan that `prepare_graph` builds once. An
+edge type that gives every destination row exactly one in-edge has that
+source state as its aggregate under every aggregator, so its W2 product is
+taken once per distinct source and copied to the destination rows; every
+other type sums (or maxes) its in-neighbour states with a sparse operator
+and takes W2 on its destination rows. W1 is taken on destination rows. One
+sparse placement operator then sums each touched row's per-type terms in
+edge-type order, and the activated sums replace the touched rows.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import struct
 import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -99,43 +103,119 @@ def _sum_matrix(row: np.ndarray, col: np.ndarray, shape) -> sparse.csr_array:
 
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+    # numpy's stable sort is a radix sort for 16-bit keys, several times
+    # faster than its merge sort of int64 keys
+    key = row.astype(np.uint16) if shape[0] <= 1 << 16 else row
     return sparse.csr_array((np.ones(len(row)),
-                             col[np.argsort(row, kind="stable")], indptr),
+                             col[np.argsort(key, kind="stable")], indptr),
                             shape=shape)
 
 
 @dataclass(frozen=True)
-class RowGather:
-    """Row gather `x[idx]` as the product `T.spmm(gather, x)`.
-
-    `matrix` is the (len(idx), n) one-hot incidence CSR matrix and
-    `transpose` its (n, len(idx)) transpose, whose backward product sums the
-    gradient rows of a repeated index in index order.
-    """
+class SparseOperator:
+    """A constant sparse operator for `T.spmm`: the CSR `matrix` and its
+    CSR `transpose`, whose product sums the gradient rows of the backward
+    pass in storage order as well."""
 
     matrix: sparse.csr_array
     transpose: sparse.csr_array
 
 
-def row_gather(idx: np.ndarray, num_rows: int) -> RowGather:
+def row_gather(idx: np.ndarray, num_rows: int) -> SparseOperator:
+    """Row gather `x[idx]` as `T.spmm(gather, x)`: a (len(idx), num_rows)
+    one-hot matrix; its transpose sums the gradient rows of a repeated
+    index in index order."""
     slot = np.arange(len(idx))
-    return RowGather(_sum_matrix(slot, idx, (len(idx), num_rows)),
-                     _sum_matrix(idx, slot, (num_rows, len(idx))))
+    return SparseOperator(_sum_matrix(slot, idx, (len(idx), num_rows)),
+                          _sum_matrix(idx, slot, (num_rows, len(idx))))
+
+
+def row_place(slot: np.ndarray, num_rows: int) -> SparseOperator:
+    """Row i of x summed into row slot[i] of a (num_rows, d) result, each
+    row in index order, as `T.spmm(place, x)`: the transpose of
+    `row_gather(slot, num_rows)`."""
+    gather = row_gather(slot, num_rows)
+    return SparseOperator(gather.transpose, gather.matrix)
+
+
+def _distinct(rows: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(rows, return_inverse=True)` for node rows below
+    `num_nodes`, by marking them instead of sorting."""
+    present = np.zeros(num_nodes, dtype=bool)
+    present[rows] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[rows]
 
 
 def edge_operator(src: np.ndarray, dst: np.ndarray,
                   num_nodes: int) -> EdgeOperator:
-    rows, slot, degree = np.unique(dst, return_inverse=True,
-                                   return_counts=True)
+    rows, slot = _distinct(dst, num_nodes)
     return EdgeOperator(rows, _sum_matrix(slot, src, (len(rows), num_nodes)),
                         _sum_matrix(src, slot, (num_nodes, len(rows))),
-                        degree.astype(np.float64))
+                        np.bincount(slot, minlength=len(rows)).astype(np.float64))
+
+
+@dataclass(frozen=True)
+class SourceProjection:
+    """The neighbour input of an edge type that gives each destination row
+    exactly one in-edge. Its aggregate is that edge's source state under
+    every aggregator, so W2 multiplies the states of `sources` once and
+    `spread`, a one-hot gather, copies the products to the destination
+    rows; `spread` is None when `sources` are one per row, in row order."""
+
+    rows: np.ndarray            # sorted distinct destination rows
+    sources: np.ndarray         # distinct source rows (by row without spread)
+    spread: SparseOperator | None
+
+
+def neighbour_operator(src: np.ndarray, dst: np.ndarray, num_nodes: int) \
+        -> EdgeOperator | SourceProjection:
+    """A `SourceProjection` when no destination repeats, else the type's
+    `EdgeOperator`."""
+    rows, slot = _distinct(dst, num_nodes)
+    if len(rows) < len(dst):
+        return edge_operator(src, dst, num_nodes)
+    by_row = np.empty_like(src)
+    by_row[slot] = src
+    sources, spread = _distinct(by_row, num_nodes)
+    if len(sources) == len(rows):
+        return SourceProjection(rows, by_row, None)
+    return SourceProjection(rows, sources, row_gather(spread, len(sources)))
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """One message-passing phase: its edge types with at least one edge, in
+    phase order, the sorted distinct rows they reach, and the operator
+    that sums the stacked per-type terms (each type's rows in the order of
+    its operator's `rows`) into those rows in edge-type order."""
+
+    etypes: tuple[str, ...]
+    rows: np.ndarray
+    place: SparseOperator
+
+
+PHASES = {"temporal": TEMPORAL_EDGE_TYPES, "spatial": SPATIAL_EDGE_TYPES}
+
+
+def message_plan(edges: Mapping[str, tuple[np.ndarray, np.ndarray]],
+                 num_nodes: int) -> tuple[dict, dict]:
+    """Per edge type, its `neighbour_operator`; per phase, its `StepPlan`."""
+    operators = {etype: neighbour_operator(src, dst, num_nodes)
+                 for etype, (src, dst) in edges.items()}
+    steps = {}
+    for phase, phase_types in PHASES.items():
+        etypes = tuple(e for e in phase_types if len(operators[e].rows))
+        term_rows = np.concatenate(
+            [operators[e].rows for e in etypes] + [np.zeros(0, np.int64)])
+        rows, slot = _distinct(term_rows, num_nodes)
+        steps[phase] = StepPlan(etypes, rows, row_place(slot, len(rows)))
+    return operators, steps
 
 
 @dataclass(frozen=True)
 class GraphArrays:
     """A TemporalGraph flattened to global node indices and edge arrays,
-    with each edge type's aggregation operator.
+    with the message-passing plan of `message_plan`.
 
     Flow nodes occupy rows [0, n_flows), IP nodes [n_flows, n_flows+n_ips),
     each kind window by window: the nodes of kind k in window w are rows
@@ -148,7 +228,8 @@ class GraphArrays:
     flow_input: np.ndarray      # features || flow cyclical encoding
     ip_input: np.ndarray        # ones || window cyclical encoding
     edges: dict                 # edge type -> (src rows, dst rows)
-    operators: dict             # edge type -> EdgeOperator
+    operators: dict             # edge type -> EdgeOperator | SourceProjection
+    steps: dict                 # phase -> StepPlan
     window_bounds: dict         # node kind -> first row of each window, end row
     target_rows: np.ndarray
     target_flow_ids: tuple[int, ...]
@@ -217,12 +298,11 @@ def prepare_graph(graph: TemporalGraph,
     target = graph.snapshots[graph.target_index]
     target_rows = bounds["flow"][graph.target_index] + np.arange(
         target.num_flows, dtype=np.int64)
-    operators = {etype: edge_operator(src, dst, n_flows + n_ips)
-                 for etype, (src, dst) in edges.items()}
+    operators, steps = message_plan(edges, n_flows + n_ips)
     return GraphArrays(
         n_flows=n_flows, n_ips=n_ips,
         flow_input=flow_input, ip_input=ip_input, edges=edges,
-        operators=operators, window_bounds=bounds,
+        operators=operators, steps=steps, window_bounds=bounds,
         target_rows=target_rows,
         target_flow_ids=tuple(n.flow_id for n in target.flow_nodes),
     )
@@ -261,8 +341,7 @@ def init_params(model_config: ModelConfig, feature_dim: int,
     _linear_params(rng.child("encoder.ip"), "encoder.ip",
                    1 + graph_config.window_encoding_dim, h, params)
     for k in range(model_config.num_layers):
-        for phase, etypes in (("temporal", TEMPORAL_EDGE_TYPES),
-                              ("spatial", SPATIAL_EDGE_TYPES)):
+        for phase, etypes in PHASES.items():
             for etype in etypes:
                 base = f"layer{k}.{phase}.{etype}"
                 r = rng.child(base)
@@ -323,31 +402,32 @@ def _aggregate(states: Tensor, edges, op: EdgeOperator,
     return total if aggregator == "sum" else T.div_const(total, op.degree[:, None])
 
 
+def _neighbour_term(states: Tensor, edges, op, w2: Tensor,
+                    aggregator: str) -> Tensor:
+    """The aggregated in-neighbour states of `op.rows` times W2."""
+    if isinstance(op, SourceProjection):
+        projected = T.matmul(T.take_rows(states, op.sources), w2)
+        return projected if op.spread is None else T.spmm(op.spread, projected)
+    return T.matmul(_aggregate(states, edges, op, aggregator), w2)
+
+
 def _hetero_step(states: Tensor, arrays: GraphArrays,
                  params: Mapping[str, Tensor], layer: int, phase: str,
-                 etypes: Sequence[str], config: ModelConfig) -> Tensor:
-    n = arrays.num_nodes
-    contrib: Tensor | None = None
-    touched = np.zeros(n, dtype=bool)
-    for etype in etypes:
-        op = arrays.operators[etype]
-        if len(op.rows) == 0:
-            continue
-        w1 = params[f"layer{layer}.{phase}.{etype}.W1"]
-        w2 = params[f"layer{layer}.{phase}.{etype}.W2"]
-        own = T.take_rows(states, op.rows)
-        neigh = _aggregate(states, arrays.edges[etype], op,
-                           config.neighbor_aggregator)
-        term = T.put_rows(T.add(T.matmul(own, w1), T.matmul(neigh, w2)),
-                          op.rows, n)
-        contrib = term if contrib is None else T.add(contrib, term)
-        touched[op.rows] = True
-    if contrib is None:
+                 config: ModelConfig) -> Tensor:
+    plan = arrays.steps[phase]
+    if not plan.etypes:
         return states
+    terms = []
+    for etype in plan.etypes:
+        op = arrays.operators[etype]
+        base = f"layer{layer}.{phase}.{etype}"
+        terms.append((T.take_rows(states, op.rows), params[f"{base}.W1"],
+                      _neighbour_term(states, arrays.edges[etype], op,
+                                      params[f"{base}.W2"],
+                                      config.neighbor_aggregator)))
     act = T.ACTIVATIONS[config.activation]
-    updated = T.mul_const(act(contrib), touched.astype(np.float64)[:, None])
-    kept = T.mul_const(states, (~touched).astype(np.float64)[:, None])
-    return T.add(updated, kept)
+    return T.replace_rows(states, plan.rows,
+                          act(T.spmm(plan.place, T.stack_affine(terms))))
 
 
 def temporal_step(states: Tensor, arrays: GraphArrays,
@@ -355,8 +435,7 @@ def temporal_step(states: Tensor, arrays: GraphArrays,
                   config: ModelConfig) -> Tensor:
     """Temporal node update; nodes with no incoming temporal edge of any
     type pass through unchanged."""
-    return _hetero_step(states, arrays, params, layer, "temporal",
-                        TEMPORAL_EDGE_TYPES, config)
+    return _hetero_step(states, arrays, params, layer, "temporal", config)
 
 
 def spatial_step(states: Tensor, arrays: GraphArrays,
@@ -364,8 +443,7 @@ def spatial_step(states: Tensor, arrays: GraphArrays,
                  config: ModelConfig) -> Tensor:
     """Spatial node update over the four flow<->IP edge types, consuming
     the states produced by the temporal step of the same layer."""
-    return _hetero_step(states, arrays, params, layer, "spatial",
-                        SPATIAL_EDGE_TYPES, config)
+    return _hetero_step(states, arrays, params, layer, "spatial", config)
 
 
 def classify(states: Tensor, rows: np.ndarray, params: Mapping[str, Tensor],

@@ -1,14 +1,15 @@
 """Minimal dense numerical substrate: float64 tensors with reverse-mode
 gradients over the fixed set of operations the flow-graph model needs
-(`add`, `scale`, `mul_const`, `div_const`, `matmul`, the activations,
-`concat_rows`, `take_rows`/`put_rows` on distinct rows, `spmm`,
+(`add`, `scale`, `div_const`, `matmul`, `stack_affine`, the activations,
+`concat_rows`, `take_rows`/`replace_rows` on distinct rows, `spmm`,
 `segment_max` and `sum_all`), plus losses, the Adam optimizer, a seeded
 RNG, and a finite-difference gradient checker.
 
 Everything is numpy under the hood, except that `spmm` multiplies by a
-scipy CSR operator the caller builds (a neighbour sum, or a one-hot row
-gather whose indices may repeat); gradients are implemented per operation
-on a small tape (parent links + backward closures).
+scipy CSR operator the caller builds (a neighbour sum, a one-hot row
+gather whose indices may repeat, or its transpose, a row placement);
+gradients are implemented per operation on a small tape (parent links +
+backward closures).
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ class Tensor:
     on a scalar result fills `.grad` on every tensor that contributed.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_owns_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self._owns_grad = False
         self._parents = parents
         self._backward = backward
 
@@ -44,15 +46,28 @@ class Tensor:
 
     def _accum(self, g: np.ndarray, rows: np.ndarray | None = None) -> None:
         """Add `g` into the gradient, or into its `rows` (which must be
-        distinct) when given."""
-        if rows is not None:
+        distinct) when given.
+
+        The first whole gradient is borrowed, not copied: `g` may be another
+        tensor's gradient or a view of one, so a borrowed gradient is never
+        written in place. The next one replaces it by a new sum, which the
+        tensor owns and adds later gradients into in place.
+        """
+        if rows is None:
             if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[rows] += g
-        elif self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # a copy: updated in place
-        else:
-            self.grad += g
+                self.grad = np.asarray(g, dtype=np.float64)
+                self._owns_grad = False
+            elif self._owns_grad:
+                self.grad += g
+            else:
+                self.grad, self._owns_grad = self.grad + g, True
+            return
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        elif not self._owns_grad:
+            self.grad = self.grad.copy()
+        self._owns_grad = True
+        self.grad[rows] += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""
@@ -75,6 +90,7 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
+        self._owns_grad = True
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -108,16 +124,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return Tensor(a.data * s, parents=(a,), backward=bw)
 
 
-def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """Multiply by a non-differentiated constant (masks, weightings)."""
-    c = np.asarray(c, dtype=np.float64)
-
-    def bw(g):
-        a._accum(g * c)
-
-    return Tensor(a.data * c, parents=(a,), backward=bw)
-
-
 def div_const(a: Tensor, c: np.ndarray) -> Tensor:
     """Divide by a non-differentiated constant (per-row degrees)."""
     c = np.asarray(c, dtype=np.float64)
@@ -139,14 +145,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, parents=(a, b), backward=bw)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    """max(x, slope*x) elementwise; subgradient `slope` at the kink."""
-    pos = x.data > 0
+def stack_affine(parts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """`concat_rows([add(matmul(x, w), y) for x, w, y in parts])`, written
+    into one buffer without keeping each product and sum apart."""
+    bounds = np.cumsum([0] + [x.data.shape[0] for x, _, _ in parts])
+    out = np.empty((bounds[-1], parts[0][1].data.shape[1]))
+    for (x, w, y), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        np.matmul(x.data, w.data, out=out[lo:hi])
+        out[lo:hi] += y.data
 
     def bw(g):
-        x._accum(g * np.where(pos, 1.0, slope))
+        for (x, w, y), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            x._accum(g[lo:hi] @ w.data.T)
+            w._accum(x.data.T @ g[lo:hi])
+            y._accum(g[lo:hi])
 
-    return Tensor(np.where(pos, x.data, slope * x.data), parents=(x,), backward=bw)
+    return Tensor(out, parents=tuple(t for part in parts for t in part),
+                  backward=bw)
+
+
+def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+    """max(x, slope*x) elementwise, for 0 <= slope <= 1; subgradient
+    `slope` at the kink."""
+
+    def bw(g):
+        x._accum(g * np.where(x.data > 0, 1.0, slope))
+
+    out = slope * x.data
+    return Tensor(np.maximum(x.data, out, out=out), parents=(x,), backward=bw)
 
 
 def identity(x: Tensor) -> Tensor:
@@ -181,16 +207,19 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     return Tensor(x.data[rows], parents=(x,), backward=bw)
 
 
-def put_rows(x: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
-    """A (num_rows, d) tensor holding row i of x at rows[i] (distinct) and
-    zeros elsewhere; the inverse placement of `take_rows`."""
-    out = np.zeros((num_rows,) + x.data.shape[1:])
-    out[rows] = x.data
+def replace_rows(x: Tensor, rows: np.ndarray, values: Tensor) -> Tensor:
+    """x with row rows[i] (distinct) replaced by row i of `values`; the
+    gradient of a replaced row goes to `values` alone."""
+    out = x.data.copy()
+    out[rows] = values.data
 
     def bw(g):
-        x._accum(g[rows])
+        kept = g.copy()
+        kept[rows] = 0.0
+        x._accum(kept)
+        values._accum(g[rows])
 
-    return Tensor(out, parents=(x,), backward=bw)
+    return Tensor(out, parents=(x, values), backward=bw)
 
 
 def spmm(op, x: Tensor) -> Tensor:

@@ -5,6 +5,12 @@ kernel in `flowgnn.model` replaced. Each edge type gathers source states per
 edge, reduces them into all n node rows with `np.add.at`, multiplies
 `states @ W1` over all n rows and masks the rows without an incoming edge.
 
+Planned message passing: the per-type sparse-operator step that
+`flowgnn.model`'s step plans replaced. Each edge type aggregates its
+in-neighbour states on its destination rows, takes both W products there,
+places the term into an n-row array with `put_rows`, and the arrays are
+added; two `mul_const` masks then keep the untouched rows.
+
 Negative sampling: the sequential sampler that `flowgnn.pretrain`'s bulk
 rounds replaced. It draws one negative at a time from per-window Python node
 lists and gives up on a negative at its first empty pool.
@@ -19,7 +25,7 @@ the gathers scatter-add their gradients with `np.add.at`.
 import numpy as np
 
 from flowgnn import tensor as T
-from flowgnn.model import final_states
+from flowgnn.model import PHASES, edge_operator, final_states, row_gather
 from flowgnn.pretrain import LinkPredTask
 from flowgnn.tensor import Tensor
 from flowgnn.windows import ALL_EDGE_TYPES, SPATIAL_EDGE_TYPES
@@ -47,6 +53,28 @@ def concat_cols(parts) -> Tensor:
 
     return Tensor(np.concatenate([p.data for p in parts], axis=1),
                   parents=tuple(parts), backward=bw)
+
+
+def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
+    """Multiply by a non-differentiated constant (masks, weightings)."""
+    c = np.asarray(c, dtype=np.float64)
+
+    def bw(g):
+        a._accum(g * c)
+
+    return Tensor(a.data * c, parents=(a,), backward=bw)
+
+
+def put_rows(x: Tensor, rows: np.ndarray, num_rows: int) -> Tensor:
+    """A (num_rows, d) tensor holding row i of x at rows[i] (distinct) and
+    zeros elsewhere; the inverse placement of `take_rows`."""
+    out = np.zeros((num_rows,) + x.data.shape[1:])
+    out[rows] = x.data
+
+    def bw(g):
+        x._accum(g[rows])
+
+    return Tensor(out, parents=(x,), backward=bw)
 
 
 def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
@@ -82,13 +110,13 @@ SEGMENT_REDUCERS = {
 }
 
 
-def hetero_step(states, arrays, params, layer, phase, etypes, config):
+def hetero_step(states, arrays, params, layer, phase, config):
     """Drop-in replacement for `flowgnn.model._hetero_step`."""
     n = arrays.num_nodes
     reduce = SEGMENT_REDUCERS[config.neighbor_aggregator]
     contrib = None
     touched = np.zeros(n, dtype=bool)
-    for etype in etypes:
+    for etype in PHASES[phase]:
         src, dst = arrays.edges[etype]
         if len(src) == 0:
             continue
@@ -97,15 +125,54 @@ def hetero_step(states, arrays, params, layer, phase, etypes, config):
         neigh = reduce(gather_rows(states, src), dst, n)
         mask = np.zeros(n)
         mask[dst] = 1.0
-        term = T.mul_const(T.add(T.matmul(states, w1), T.matmul(neigh, w2)),
-                           mask[:, None])
+        term = mul_const(T.add(T.matmul(states, w1), T.matmul(neigh, w2)),
+                         mask[:, None])
         contrib = term if contrib is None else T.add(contrib, term)
         touched |= mask.astype(bool)
     if contrib is None:
         return states
     act = T.ACTIVATIONS[config.activation]
-    updated = T.mul_const(act(contrib), touched.astype(np.float64)[:, None])
-    kept = T.mul_const(states, (~touched).astype(np.float64)[:, None])
+    updated = mul_const(act(contrib), touched.astype(np.float64)[:, None])
+    kept = mul_const(states, (~touched).astype(np.float64)[:, None])
+    return T.add(updated, kept)
+
+
+def sparse_aggregate(states, edges, op, aggregator):
+    """In-neighbour states aggregated per destination row of `op`."""
+    if aggregator == "max":
+        src, dst = edges
+        sources = T.spmm(row_gather(src, len(states.data)), states)
+        return T.segment_max(sources, np.searchsorted(op.rows, dst),
+                             len(op.rows))
+    total = T.spmm(op, states)
+    return total if aggregator == "sum" else T.div_const(total, op.degree[:, None])
+
+
+def sparse_hetero_step(states, arrays, params, layer, phase, config):
+    """Drop-in replacement for `flowgnn.model._hetero_step`: the per-type
+    sparse-operator step, on aggregation operators built at call time."""
+    n = arrays.num_nodes
+    contrib = None
+    touched = np.zeros(n, dtype=bool)
+    for etype in PHASES[phase]:
+        src, dst = arrays.edges[etype]
+        op = edge_operator(src, dst, n)
+        if len(op.rows) == 0:
+            continue
+        w1 = params[f"layer{layer}.{phase}.{etype}.W1"]
+        w2 = params[f"layer{layer}.{phase}.{etype}.W2"]
+        own = T.take_rows(states, op.rows)
+        neigh = sparse_aggregate(states, (src, dst), op,
+                                 config.neighbor_aggregator)
+        term = put_rows(T.add(T.matmul(own, w1), T.matmul(neigh, w2)),
+                        op.rows, n)
+        contrib = term if contrib is None else T.add(contrib, term)
+        touched[op.rows] = True
+    if contrib is None:
+        return states
+    act = T.ACTIVATIONS[config.activation]
+    updated = mul_const(act(contrib), touched.astype(np.float64)[:, None])
+    kept = mul_const(states, (~touched).astype(np.float64)[:, None])
     return T.add(updated, kept)
 
 

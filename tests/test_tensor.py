@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from flowgnn import tensor as T
 from flowgnn.model import edge_operator, row_gather
 from reference_ops import (SEGMENT_REDUCERS, concat_cols, gather_rows,
-                           segment_mean)
+                           put_rows, segment_mean)
 from flowgnn.tensor import AdamState, Rng, Tensor, adam_step
 
 
@@ -80,7 +80,7 @@ class TestOps:
 
         def f(params):
             picked = T.div_const(T.take_rows(params["x"], rows), degree)
-            placed = T.put_rows(picked, rows, 5)
+            placed = put_rows(picked, rows, 5)
             return T.sum_all(T.leaky_relu(T.add(placed, params["x"])))
 
         assert T.check_gradients(f, {"x": x}) < 1e-8
@@ -108,6 +108,48 @@ class TestOps:
         ref = Tensor(x.data)
         gather_rows(ref, idx)._backward(g)
         assert np.array_equal(x.grad, ref.grad)
+
+    def test_stack_affine_matches_composed_ops(self):
+        rng = Rng(24)
+        params = {name: rand_tensor(rng, shape) for name, shape in (
+            ("x0", (3, 4)), ("w0", (4, 2)), ("y0", (3, 2)),
+            ("x1", (1, 4)), ("w1", (4, 2)), ("y1", (1, 2)))}
+
+        def parts(p):
+            return [(p[f"x{i}"], p[f"w{i}"], p[f"y{i}"]) for i in range(2)]
+
+        composed = T.concat_rows([T.add(T.matmul(x, w), y)
+                                  for x, w, y in parts(params)])
+        assert np.array_equal(T.stack_affine(parts(params)).data,
+                              composed.data)
+
+        def f(p):
+            return T.sum_all(T.leaky_relu(T.stack_affine(parts(p))))
+
+        assert T.check_gradients(f, params) < 1e-8
+
+    def test_replace_rows_forward_and_backward_exact(self):
+        x = Tensor(np.array([[1.0, 2.0], [np.inf, -np.inf], [5.0, 6.0],
+                             [7.0, 8.0]]))
+        values = Tensor(np.array([[-1.5, 0.25], [3.0, -4.0]]))
+        rows = np.array([1, 3])                  # row 1 holds infinities
+        out = T.replace_rows(x, rows, values)
+        assert np.array_equal(out.data, [[1.0, 2.0], [-1.5, 0.25],
+                                         [5.0, 6.0], [3.0, -4.0]])
+        g = Rng(16).normal((4, 2))
+        out._backward(g)
+        kept = g.copy()
+        kept[rows] = 0.0
+        assert np.array_equal(x.grad, kept)
+        assert np.array_equal(values.grad, g[rows])
+
+    def test_leaky_relu_bitwise_equal_to_masked_form(self):
+        x = Rng(17).normal((2634, 128))
+        x.reshape(-1)[:7] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                             1e-320]
+        out = T.leaky_relu(Tensor(x)).data
+        masked = np.where(x > 0, x, 0.01 * x)
+        assert np.array_equal(out.view(np.uint64), masked.view(np.uint64))
 
     def test_add_bias_broadcast_gradient(self):
         rng = Rng(6)
@@ -262,3 +304,45 @@ def test_bce_nonnegative(logit, target):
     loss = T.binary_cross_entropy(Tensor(np.array([[logit]])),
                                   np.array([target]))
     assert loss.item() >= 0.0
+
+
+class TestGradientSharing:
+    """A first gradient is borrowed, not copied; a later one must never be
+    added into the borrowed array, which may be another tensor's gradient."""
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = Tensor(np.ones((2, 3)))
+        y = T.add(x, x)
+        g = Rng(18).normal((2, 3))
+        y.grad = g
+        y._backward(g)
+        assert np.array_equal(x.grad, g + g)
+        assert y.grad is g and np.array_equal(g, Rng(18).normal((2, 3)))
+
+    def test_both_parents_of_one_add(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+        s = T.add(a, b)
+        g = Rng(19).normal((2, 3))
+        s.grad = g
+        s._backward(g)
+        extra = Rng(20).normal((2, 3))
+        a._accum(extra)
+        b._accum(extra[1:], np.array([1]))
+        assert np.array_equal(a.grad, g + extra)
+        expected = g.copy()
+        expected[1] += extra[1]
+        assert np.array_equal(b.grad, expected)
+        assert np.array_equal(s.grad, Rng(19).normal((2, 3)))
+
+    def test_concat_rows_slices(self):
+        p, q = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))
+        c = T.concat_rows([p, q])
+        g = Rng(21).normal((5, 3))
+        c.grad = g
+        c._backward(g)
+        extra = Rng(22).normal((2, 3))
+        p._accum(extra)
+        p._accum(extra)
+        assert np.array_equal(p.grad, (g[:2] + extra) + extra)
+        assert np.array_equal(q.grad, Rng(21).normal((5, 3))[2:])
+        assert np.array_equal(c.grad, Rng(21).normal((5, 3)))

@@ -19,6 +19,7 @@ from flowgnn.training import (EmptyDataError, TrainConfig, chronological_split,
                               class_weights, evaluate, fit, mlp_baseline,
                               predict_flows, train)
 from flowgnn.windows import GraphBuildConfig, build_temporal_graphs
+from reference_ops import mul_const
 
 GC = GraphBuildConfig(window_size=5.0, window_memory=2)
 
@@ -189,7 +190,7 @@ def linear_steps(params, directions, weights):
     """One step per direction c, its loss the dot product c . params["w"]."""
     def steps(epoch):
         for c, weight in zip(directions, weights):
-            loss = T.sum_all(T.mul_const(params["w"], np.asarray(c)))
+            loss = T.sum_all(mul_const(params["w"], np.asarray(c)))
             yield loss, weight, {"half": 0.5 * loss.item()}
     return steps
 
