@@ -146,12 +146,17 @@ def _distinct(rows: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]
     return np.flatnonzero(present), (np.cumsum(present) - 1)[rows]
 
 
-def edge_operator(src: np.ndarray, dst: np.ndarray,
-                  num_nodes: int) -> EdgeOperator:
-    rows, slot = _distinct(dst, num_nodes)
+def _edge_operator(src: np.ndarray, rows: np.ndarray, slot: np.ndarray,
+                   num_nodes: int) -> EdgeOperator:
+    """The `EdgeOperator` of edges src[e] -> rows[slot[e]]."""
     return EdgeOperator(rows, _sum_matrix(slot, src, (len(rows), num_nodes)),
                         _sum_matrix(src, slot, (num_nodes, len(rows))),
                         np.bincount(slot, minlength=len(rows)).astype(np.float64))
+
+
+def edge_operator(src: np.ndarray, dst: np.ndarray,
+                  num_nodes: int) -> EdgeOperator:
+    return _edge_operator(src, *_distinct(dst, num_nodes), num_nodes)
 
 
 @dataclass(frozen=True)
@@ -160,11 +165,11 @@ class SourceProjection:
     exactly one in-edge. Its aggregate is that edge's source state under
     every aggregator, so W2 multiplies the states of `sources` once and
     `spread`, a one-hot gather, copies the products to the destination
-    rows; `spread` is None when `sources` are one per row, in row order."""
+    rows."""
 
     rows: np.ndarray            # sorted distinct destination rows
-    sources: np.ndarray         # distinct source rows (by row without spread)
-    spread: SparseOperator | None
+    sources: np.ndarray         # sorted distinct source rows
+    spread: SparseOperator
 
 
 def neighbour_operator(src: np.ndarray, dst: np.ndarray, num_nodes: int) \
@@ -173,12 +178,10 @@ def neighbour_operator(src: np.ndarray, dst: np.ndarray, num_nodes: int) \
     `EdgeOperator`."""
     rows, slot = _distinct(dst, num_nodes)
     if len(rows) < len(dst):
-        return edge_operator(src, dst, num_nodes)
+        return _edge_operator(src, rows, slot, num_nodes)
     by_row = np.empty_like(src)
     by_row[slot] = src
     sources, spread = _distinct(by_row, num_nodes)
-    if len(sources) == len(rows):
-        return SourceProjection(rows, by_row, None)
     return SourceProjection(rows, sources, row_gather(spread, len(sources)))
 
 
@@ -406,8 +409,7 @@ def _neighbour_term(states: Tensor, edges, op, w2: Tensor,
                     aggregator: str) -> Tensor:
     """The aggregated in-neighbour states of `op.rows` times W2."""
     if isinstance(op, SourceProjection):
-        projected = T.matmul(T.take_rows(states, op.sources), w2)
-        return projected if op.spread is None else T.spmm(op.spread, projected)
+        return T.spmm(op.spread, T.matmul(T.take_rows(states, op.sources), w2))
     return T.matmul(_aggregate(states, edges, op, aggregator), w2)
 
 

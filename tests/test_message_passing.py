@@ -59,9 +59,7 @@ def operator_kinds(arrays):
     """Which aggregation paths the non-empty edge types of `arrays` take."""
     ops = [op for op in arrays.operators.values() if len(op.rows)]
     return {"aggregate": any(isinstance(op, EdgeOperator) for op in ops),
-            "project": any(isinstance(op, SourceProjection) for op in ops),
-            "spread": any(isinstance(op, SourceProjection)
-                          and op.spread is not None for op in ops)}
+            "project": any(isinstance(op, SourceProjection) for op in ops)}
 
 
 def synth_setup(aggregator):
@@ -163,7 +161,7 @@ def dense_arrays(seed):
     """24 flows and 8 IPs with 40 random edges per type, so that rows are
     reached by three or four types of a phase and the order of their sum
     shows in the bits; src_to_flow and dst_to_flow give 20 flows one IP
-    each, so both project through a spread."""
+    each, so both project shared sources."""
     rng = np.random.default_rng(seed)
     n_flows, n_ips = 24, 8
     lists = []
@@ -216,7 +214,7 @@ def test_projected_and_aggregated_types_match_reference(graph, aggregator,
                                                         seed):
     arrays = random_arrays(*graph, seed)
     kinds = operator_kinds(arrays)
-    assume(kinds["aggregate"] and kinds["spread"])
+    assume(kinds["aggregate"] and kinds["project"])
     config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4,
                          neighbor_aggregator=aggregator)
     params = init_params(config, FEATURES, SMALL_GC, Rng(seed))
@@ -225,8 +223,8 @@ def test_projected_and_aggregated_types_match_reference(graph, aggregator,
 
 def mixed_arrays():
     """Every path once: intra_src aggregates (destination 2 repeats),
-    flow_to_src and inter_ip project through a spread (shared sources),
-    src_to_flow projects distinct sources, the rest are empty."""
+    flow_to_src and inter_ip project shared sources, src_to_flow projects
+    one source per row, the rest are empty."""
     lists = [[] for _ in ALL_EDGE_TYPES]
     lists[ALL_EDGE_TYPES.index("intra_src")] = [(0, 2), (3, 2), (1, 2), (2, 0)]
     lists[ALL_EDGE_TYPES.index("flow_to_src")] = [(0, 4), (0, 5), (2, 6)]
