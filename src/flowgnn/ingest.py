@@ -39,6 +39,12 @@ class SchemaError(ValueError):
     """A mapped CSV column is missing or the schema itself is malformed."""
 
 
+class FormatError(ValueError):
+    """A binary flow cache or checkpoint is malformed: truncated, with bytes
+    after its end, invalid UTF-8, a bad magic or version, or an index
+    beyond its table. The message names the file and the byte offset."""
+
+
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
     flow_id: int
@@ -400,7 +406,7 @@ def write_flow_cache(records: Sequence[FlowRecord], path: str | Path) -> None:
 
 class ByteReader:
     """Bounded reads over a whole binary file. Reading past its end, or
-    `finish` with bytes left over, raises ValueError naming the offset."""
+    `finish` with bytes left over, raises FormatError naming the offset."""
 
     def __init__(self, path: str | Path, kind: str):
         self.path, self.kind, self.offset = path, kind, 0
@@ -408,7 +414,7 @@ class ByteReader:
 
     def take(self, size: int) -> memoryview:
         if self.offset + size > len(self.buf):
-            raise ValueError(f"{self.path}: truncated {self.kind}: {size} "
+            raise FormatError(f"{self.path}: truncated {self.kind}: {size} "
                              f"bytes needed at offset {self.offset}, file "
                              f"ends at {len(self.buf)}")
         self.offset += size
@@ -419,17 +425,17 @@ class ByteReader:
 
     def text(self, size: int) -> str:
         """The next `size` bytes decoded as UTF-8; invalid UTF-8 raises
-        ValueError naming the offset of the first bad byte."""
+        FormatError naming the offset of the first bad byte."""
         start = self.offset
         try:
             return str(self.take(size), "utf-8")
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{self.path}: invalid UTF-8 in {self.kind} at "
+            raise FormatError(f"{self.path}: invalid UTF-8 in {self.kind} at "
                              f"offset {start + exc.start}") from None
 
     def finish(self) -> None:
         if self.offset != len(self.buf):
-            raise ValueError(f"{self.path}: {len(self.buf) - self.offset} "
+            raise FormatError(f"{self.path}: {len(self.buf) - self.offset} "
                              f"trailing bytes after offset {self.offset}")
 
 
@@ -441,14 +447,14 @@ def _read_table(reader: ByteReader) -> list[str]:
 def read_flow_cache(path: str | Path) -> tuple[FlowRecord, ...]:
     """Inverse of `write_flow_cache`. A file that ends early, has invalid
     UTF-8 in a key or attack name, has bytes after the last record, or has a
-    record naming a key or attack name beyond its table raises ValueError
+    record naming a key or attack name beyond its table raises FormatError
     with the byte offset."""
     reader = ByteReader(path, "flow cache")
     if reader.take(4) != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a flow cache (bad magic)")
+        raise FormatError(f"{path}: not a flow cache (bad magic)")
     (version,) = reader.unpack("<I")
     if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
+        raise FormatError(f"{path}: unsupported cache version {version}")
     (count,) = reader.unpack("<Q")
     keys = _read_table(reader)
     names = _read_table(reader)
@@ -468,7 +474,7 @@ def read_flow_cache(path: str | Path) -> tuple[FlowRecord, ...]:
                 tcp_flags=flags, duration=duration, label=label,
                 attack_name=None if name_idx == _NO_NAME else names[name_idx]))
         except IndexError:
-            raise ValueError(f"{path}: record at offset "
+            raise FormatError(f"{path}: record at offset "
                              f"{start + i * _RECORD_SIZE} names a key or "
                              f"attack name beyond its table") from None
     return tuple(records)

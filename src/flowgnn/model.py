@@ -12,14 +12,24 @@ and the per-type results are summed across edge types before the
 non-linearity. Nodes untouched by a step pass through unchanged. Final
 target-window flow states feed a small MLP classifier.
 
-Each step runs on a per-graph plan that `prepare_graph` builds once. An
-edge type that gives every destination row exactly one in-edge has that
-source state as its aggregate under every aggregator, so its W2 product is
-taken once per distinct source and copied to the destination rows; every
-other type sums (or maxes) its in-neighbour states with a sparse operator
-and takes W2 on its destination rows. W1 is taken on destination rows. One
-sparse placement operator then sums each touched row's per-type terms in
-edge-type order, and the activated sums replace the touched rows.
+Each step runs on a per-graph plan that `prepare_graph` builds once. The
+classifier reads only the target window's rows, so the plan is built back
+from them: the last step keeps only the edges into the rows read after it,
+those edges' sources join the read set of the step before, and so on; a
+step whose read set covers every destination of its phase runs the
+unrestricted plan. Rows outside a step's read set are left stale, as no
+later step reads them. Pre-training scores edges on every node, so it plans
+a read of every row, and every step is unrestricted.
+
+Within a step, an edge type that gives every destination row exactly one
+in-edge has that source state as its aggregate under every aggregator, so
+its W2 product is taken once per distinct source and copied to the
+destination rows; every other type sums (or maxes) its in-neighbour states
+with a sparse operator and takes W2 on its destination rows. W1 is taken on
+destination rows. One sparse placement operator then sums each touched
+row's per-type terms in edge-type order, and the activated sums replace the
+touched rows. Each row's arithmetic is the same whichever rows the step
+keeps, so the target logits are bitwise those of the unrestricted plan.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
-from .ingest import ByteReader, FeatureCodec, LabelVocabulary
+from .ingest import ByteReader, FeatureCodec, FormatError, LabelVocabulary
 from .tensor import Tensor
 from .windows import (GraphBuildConfig, INTER_EDGE_TYPES, INTRA_EDGE_TYPES,
                       SPATIAL_EDGE_TYPES, TEMPORAL_EDGE_TYPES, TemporalGraph,
@@ -187,12 +197,15 @@ def neighbour_operator(src: np.ndarray, dst: np.ndarray, num_nodes: int) \
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One message-passing phase: its edge types with at least one edge, in
-    phase order, the sorted distinct rows they reach, and the operator
-    that sums the stacked per-type terms (each type's rows in the order of
-    its operator's `rows`) into those rows in edge-type order."""
+    """One message-passing step: its edge types with at least one edge, in
+    phase order, with each type's (src, dst) edges and their
+    `neighbour_operator`; the sorted distinct rows they reach; and the
+    operator that sums the stacked per-type terms (each type's rows in the
+    order of its operator's `rows`) into those rows in edge-type order."""
 
     etypes: tuple[str, ...]
+    edges: tuple                # per type, its (src rows, dst rows)
+    operators: tuple            # per type, EdgeOperator | SourceProjection
     rows: np.ndarray
     place: SparseOperator
 
@@ -200,19 +213,87 @@ class StepPlan:
 PHASES = {"temporal": TEMPORAL_EDGE_TYPES, "spatial": SPATIAL_EDGE_TYPES}
 
 
+def step_plan(edges: Mapping[str, tuple[np.ndarray, np.ndarray]],
+              num_nodes: int) -> StepPlan:
+    """The `StepPlan` of one phase's (src, dst) edges, by edge type."""
+    etypes = tuple(e for e, (src, _) in edges.items() if len(src))
+    operators = tuple(neighbour_operator(*edges[e], num_nodes) for e in etypes)
+    term_rows = np.concatenate([op.rows for op in operators]
+                               + [np.zeros(0, np.int64)])
+    rows, slot = _distinct(term_rows, num_nodes)
+    return StepPlan(etypes, tuple(edges[e] for e in etypes), operators, rows,
+                    row_place(slot, len(rows)))
+
+
+@dataclass(frozen=True)
+class MessagePlan:
+    """The `StepPlan` of every message-passing step of one graph.
+
+    A step's read set, the rows of its input that it or a later step reads,
+    depends only on the steps after it, so a plan for the target rows runs
+    back from the last layer: `last[j][phase]` is the plan of that phase in
+    the layer j places before the last, and `reads[j][phase]` the sorted
+    rows of its read set. A plan for a read of every row has no `last`
+    layers, and every layer runs `rest`, the unrestricted per-phase plans.
+    """
+
+    last: tuple[dict[str, StepPlan], ...]
+    reads: tuple[dict[str, np.ndarray], ...]
+    rest: dict[str, StepPlan] | None
+
+    def step(self, back: int, phase: str) -> StepPlan:
+        """The plan of `phase` in the layer `back` places before the last."""
+        if back < len(self.last):
+            return self.last[back][phase]
+        if self.rest is None:
+            raise ValueError(f"the message plan covers the last "
+                             f"{len(self.last)} layers only, not "
+                             f"{back + 1}")
+        return self.rest[phase]
+
+
 def message_plan(edges: Mapping[str, tuple[np.ndarray, np.ndarray]],
-                 num_nodes: int) -> tuple[dict, dict]:
-    """Per edge type, its `neighbour_operator`; per phase, its `StepPlan`."""
-    operators = {etype: neighbour_operator(src, dst, num_nodes)
-                 for etype, (src, dst) in edges.items()}
-    steps = {}
-    for phase, phase_types in PHASES.items():
-        etypes = tuple(e for e in phase_types if len(operators[e].rows))
-        term_rows = np.concatenate(
-            [operators[e].rows for e in etypes] + [np.zeros(0, np.int64)])
-        rows, slot = _distinct(term_rows, num_nodes)
-        steps[phase] = StepPlan(etypes, rows, row_place(slot, len(rows)))
-    return operators, steps
+                 num_nodes: int, target_rows: np.ndarray | None = None,
+                 num_layers: int | None = None) -> MessagePlan:
+    """The plan of a model whose output reads `target_rows` after the last
+    of its `num_layers` layers; of a read of every row, with every step
+    unrestricted, when `num_layers` is None.
+
+    Going back from the output, each step keeps the edges whose destination
+    is in the read set, and their sources join the read set of the step
+    before. A step whose read set covers every destination of its phase
+    runs the unrestricted plan, built once per phase and only when a step
+    runs it.
+    """
+    full: dict[str, StepPlan] = {}
+
+    def unrestricted(phase):
+        if phase not in full:
+            full[phase] = step_plan({e: edges[e] for e in PHASES[phase]},
+                                    num_nodes)
+        return full[phase]
+
+    if num_layers is None:
+        return MessagePlan((), (), {phase: unrestricted(phase)
+                                    for phase in PHASES})
+    read = np.zeros(num_nodes, dtype=bool)
+    read[target_rows] = True
+    last, reads = [], []
+    for _ in range(num_layers):
+        layer, layer_reads = {}, {}
+        for phase in reversed(PHASES):     # spatial runs last in a layer
+            keep = {e: read[edges[e][1]] for e in PHASES[phase]}
+            if all(k.all() for k in keep.values()):
+                layer[phase] = unrestricted(phase)
+            else:
+                layer[phase] = step_plan({e: (edges[e][0][k], edges[e][1][k])
+                                          for e, k in keep.items()}, num_nodes)
+            for src, _ in layer[phase].edges:
+                read[src] = True
+            layer_reads[phase] = np.flatnonzero(read)
+        last.append(layer)
+        reads.append(layer_reads)
+    return MessagePlan(tuple(last), tuple(reads), None)
 
 
 @dataclass(frozen=True)
@@ -223,7 +304,7 @@ class GraphArrays:
     Flow nodes occupy rows [0, n_flows), IP nodes [n_flows, n_flows+n_ips),
     each kind window by window: the nodes of kind k in window w are rows
     [window_bounds[k][w], window_bounds[k][w + 1]). Pure function of
-    (graph, graph config); prepare once, reuse per epoch.
+    (graph, graph config, planned layers); prepare once, reuse per epoch.
     """
 
     n_flows: int
@@ -231,8 +312,7 @@ class GraphArrays:
     flow_input: np.ndarray      # features || flow cyclical encoding
     ip_input: np.ndarray        # ones || window cyclical encoding
     edges: dict                 # edge type -> (src rows, dst rows)
-    operators: dict             # edge type -> EdgeOperator | SourceProjection
-    steps: dict                 # phase -> StepPlan
+    plan: MessagePlan
     window_bounds: dict         # node kind -> first row of each window, end row
     target_rows: np.ndarray
     target_flow_ids: tuple[int, ...]
@@ -249,8 +329,11 @@ ENDPOINT_KINDS = {"flow_to_src": ("flow", "ip"), "src_to_flow": ("ip", "flow"),
                   "inter_ip": ("ip", "ip"), "inter_flow": ("flow", "flow")}
 
 
-def prepare_graph(graph: TemporalGraph,
-                  graph_config: GraphBuildConfig) -> GraphArrays:
+def prepare_graph(graph: TemporalGraph, graph_config: GraphBuildConfig,
+                  num_layers: int | None = None) -> GraphArrays:
+    """Flatten `graph` and plan its message passing: for the classifier's
+    read of the target rows through `num_layers` layers, or for a read of
+    every row when `num_layers` is None (pre-training scores every edge)."""
     flow_bounds = np.cumsum([0] + [s.num_flows for s in graph.snapshots],
                             dtype=np.int64)
     n_flows = int(flow_bounds[-1])
@@ -301,11 +384,11 @@ def prepare_graph(graph: TemporalGraph,
     target = graph.snapshots[graph.target_index]
     target_rows = bounds["flow"][graph.target_index] + np.arange(
         target.num_flows, dtype=np.int64)
-    operators, steps = message_plan(edges, n_flows + n_ips)
     return GraphArrays(
         n_flows=n_flows, n_ips=n_ips,
         flow_input=flow_input, ip_input=ip_input, edges=edges,
-        operators=operators, steps=steps, window_bounds=bounds,
+        plan=message_plan(edges, n_flows + n_ips, target_rows, num_layers),
+        window_bounds=bounds,
         target_rows=target_rows,
         target_flow_ids=tuple(n.flow_id for n in target.flow_nodes),
     )
@@ -416,16 +499,14 @@ def _neighbour_term(states: Tensor, edges, op, w2: Tensor,
 def _hetero_step(states: Tensor, arrays: GraphArrays,
                  params: Mapping[str, Tensor], layer: int, phase: str,
                  config: ModelConfig) -> Tensor:
-    plan = arrays.steps[phase]
+    plan = arrays.plan.step(config.num_layers - 1 - layer, phase)
     if not plan.etypes:
         return states
     terms = []
-    for etype in plan.etypes:
-        op = arrays.operators[etype]
+    for etype, edges, op in zip(plan.etypes, plan.edges, plan.operators):
         base = f"layer{layer}.{phase}.{etype}"
         terms.append((T.take_rows(states, op.rows), params[f"{base}.W1"],
-                      _neighbour_term(states, arrays.edges[etype], op,
-                                      params[f"{base}.W2"],
+                      _neighbour_term(states, edges, op, params[f"{base}.W2"],
                                       config.neighbor_aggregator)))
     act = T.ACTIVATIONS[config.activation]
     return T.replace_rows(states, plan.rows,
@@ -464,8 +545,9 @@ def classify(states: Tensor, rows: np.ndarray, params: Mapping[str, Tensor],
 
 def final_states(arrays: GraphArrays, params: Mapping[str, Tensor],
                  config: ModelConfig) -> Tensor:
-    """All-node states after stacked (temporal, spatial) layers; temporal
-    always runs first in a layer."""
+    """Node states after stacked (temporal, spatial) layers; temporal
+    always runs first in a layer. Under a plan for the target rows only
+    those rows are final; the plan leaves the others stale."""
     states = init_node_states(arrays, params, config)
     for k in range(config.num_layers):
         states = temporal_step(states, arrays, params, k, config)
@@ -486,8 +568,9 @@ def forward(graph: TemporalGraph, params: Mapping[str, Tensor],
             graph_config: GraphBuildConfig) -> tuple[tuple[int, ...], Tensor]:
     """Per-flow logits, (flow_id, ...) aligned with logits rows, for the
     target window only."""
-    return forward_prepared(prepare_graph(graph, graph_config), params,
-                            model_config)
+    return forward_prepared(
+        prepare_graph(graph, graph_config, model_config.num_layers), params,
+        model_config)
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +669,14 @@ def save_checkpoint(params: Mapping[str, Tensor], metadata: Mapping[str, str],
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]]:
     """Inverse of `save_checkpoint`. A file that ends early, has a length
     field pointing past its end, invalid UTF-8 in its metadata or a tensor
-    name, or bytes after the last tensor raises ValueError with the byte
+    name, or bytes after the last tensor raises FormatError with the byte
     offset."""
     reader = ByteReader(path, "checkpoint")
     if reader.take(4) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+        raise FormatError(f"{path}: not a checkpoint (bad magic)")
     (version,) = reader.unpack("<I")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = reader.unpack("<Q")
     metadata = parse_metadata(reader.text(meta_len))
     (count,) = reader.unpack("<I")
@@ -603,7 +686,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]
         name = reader.text(name_len)
         dtype, rank = reader.unpack("<BB")
         if dtype != _DTYPE_F64:
-            raise ValueError(f"{path}: unknown dtype tag {dtype} for {name!r}")
+            raise FormatError(f"{path}: unknown dtype tag {dtype} for {name!r}")
         dims = reader.unpack(f"<{rank}Q")
         data = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8")
         params[name] = Tensor(data.reshape(dims).copy())

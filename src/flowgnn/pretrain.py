@@ -230,6 +230,7 @@ def pretrain(corpus: PretrainCorpus, graphs: Sequence[TemporalGraph],
                          rng.child("trunk"))
     params.update(init_scorer_params(model_config, rng.child("scorers")))
     neg_rng = rng.child("negatives")
+    # planned for a read of every row: the scorers read every node's state
     prepared = [prepare_graph(g, graph_config) for g in graphs]
 
     def steps(epoch):

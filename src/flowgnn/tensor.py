@@ -9,7 +9,9 @@ Everything is numpy under the hood, except that `spmm` multiplies by a
 scipy CSR operator the caller builds (a neighbour sum, a one-hot row
 gather whose indices may repeat, or its transpose, a row placement);
 gradients are implemented per operation on a small tape (parent links +
-backward closures).
+backward closures). The forward products of `matmul` and `stack_affine`
+give each row the same bits whatever the row count, so a row computed
+among fewer rows matches the same row computed among all.
 """
 
 from __future__ import annotations
@@ -134,6 +136,20 @@ def div_const(a: Tensor, c: np.ndarray) -> Tensor:
     return Tensor(a.data / c, parents=(a,), backward=bw)
 
 
+def _row_product(x: np.ndarray, w: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """`x @ w` for a matrix `x`, each row rounded the same whatever the
+    row count: numpy sends a one-row product to gemv, which rounds
+    differently from gemm, so one row is multiplied as two."""
+    if x.ndim != 2 or x.shape[0] != 1:
+        return np.matmul(x, w, out=out)
+    product = np.matmul(np.concatenate([x, x]), w)[:1]
+    if out is None:
+        return product
+    out[...] = product
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
@@ -142,7 +158,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a._accum(g @ b.data.T)
         b._accum(a.data.T @ g)
 
-    return Tensor(a.data @ b.data, parents=(a, b), backward=bw)
+    return Tensor(_row_product(a.data, b.data), parents=(a, b), backward=bw)
 
 
 def stack_affine(parts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
@@ -151,7 +167,7 @@ def stack_affine(parts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
     bounds = np.cumsum([0] + [x.data.shape[0] for x, _, _ in parts])
     out = np.empty((bounds[-1], parts[0][1].data.shape[1]))
     for (x, w, y), lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-        np.matmul(x.data, w.data, out=out[lo:hi])
+        _row_product(x.data, w.data, out=out[lo:hi])
         out[lo:hi] += y.data
 
     def bw(g):

@@ -185,12 +185,15 @@ def train(train_graphs: Sequence[TemporalGraph],
     The caller's parameter set is deep-copied: training never mutates it.
     """
     params = copy_params(params)
+    layers = model_config.num_layers
     batches = [(a, *_labeled(a.target_flow_ids, labels))
-               for a in (prepare_graph(g, graph_config) for g in train_graphs)]
+               for a in (prepare_graph(g, graph_config, layers)
+                         for g in train_graphs)]
     batches = [b for b in batches if len(b[1]) > 0]
     if not batches:
         raise EmptyDataError("no labeled flows in any training target window")
-    prepared_val = [prepare_graph(g, graph_config) for g in val_graphs or ()]
+    prepared_val = [prepare_graph(g, graph_config, layers)
+                    for g in val_graphs or ()]
     num_classes = model_config.num_classes
     weights = class_weights([c for _, _, cls in batches for c in cls],
                             num_classes) if config.weighted_loss else None
@@ -225,7 +228,8 @@ def evaluate(params: Mapping[str, Tensor], test_graphs: Sequence[TemporalGraph],
     """Score each labeled flow once, on its chronologically last prediction;
     binary F1 collapses every attack class against benign."""
     ordered = sorted(test_graphs, key=lambda g: g.target.window_index)
-    prepared = [prepare_graph(g, graph_config) for g in ordered]
+    prepared = [prepare_graph(g, graph_config, model_config.num_layers)
+                for g in ordered]
     y_true, y_pred = _labeled_predictions(prepared, params, model_config,
                                           labels)
     if len(y_true) == 0:

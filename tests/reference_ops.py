@@ -11,6 +11,11 @@ in-neighbour states on its destination rows, takes both W products there,
 places the term into an n-row array with `put_rows`, and the arrays are
 added; two `mul_const` masks then keep the untouched rows.
 
+Receptive field: the read set of each message-passing step, the input rows
+that the classifier's output at the target rows depends on, found by
+walking the raw edge lists back from the last step; `flowgnn.model`'s
+message plans keep these rows.
+
 Negative sampling: the sequential sampler that `flowgnn.pretrain`'s bulk
 rounds replaced. It draws one negative at a time from per-window Python node
 lists and gives up on a negative at its first empty pool.
@@ -174,6 +179,27 @@ def sparse_hetero_step(states, arrays, params, layer, phase, config):
     updated = mul_const(act(contrib), touched.astype(np.float64)[:, None])
     kept = mul_const(states, (~touched).astype(np.float64)[:, None])
     return T.add(updated, kept)
+
+
+def read_sets(edges, target_rows, num_layers):
+    """Per layer from the last back, phase -> the sorted input rows of that
+    step that the output at `target_rows` after the last layer depends on:
+    a row read after a step is read before it, and so is the source of an
+    edge of the step's phase into a row read after it."""
+    read = {int(r) for r in target_rows}
+    layers = []
+    for _ in range(num_layers):
+        layer = {}
+        for phase in ("spatial", "temporal"):
+            before = set(read)
+            for etype in PHASES[phase]:
+                for s, d in zip(*edges[etype]):
+                    if int(d) in read:
+                        before.add(int(s))
+            read = before
+            layer[phase] = sorted(read)
+        layers.append(layer)
+    return layers
 
 
 def sample_negatives(graph, arrays, ratio, rng, max_attempts=100):

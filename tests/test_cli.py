@@ -264,6 +264,20 @@ class TestFinetuneEvaluate:
         assert code == 4
         assert "no target flows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spoiled,kind", [("cache", "flow cache"),
+                                              ("checkpoint", "checkpoint")])
+    def test_truncated_binary_input_exit_two(self, tmp_path, cache, capsys,
+                                             spoiled, kind):
+        # a FormatError is a ValueError: a malformed file is a usage error
+        ckpt = write_scratch_checkpoint(cache, tmp_path / "ok.pptg",
+                                        lambda meta: None)
+        path = cache if spoiled == "cache" else ckpt
+        path.write_bytes(path.read_bytes()[:-1])
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--cache",
+                     str(cache), "--out-dir", str(tmp_path / "e")])
+        assert code == 2
+        assert f"truncated {kind}" in capsys.readouterr().err
+
     def test_pretrain_log_reports_shortfall(self, tmp_path):
         # one flow from a to a: every spatial block is complete, so none of
         # the four spatial negatives exists and shortfall per scored edge is 1

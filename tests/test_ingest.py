@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_flow, sort_flows
-from flowgnn.ingest import (BENIGN_NAME, FeatureCodec, LabelVocabulary,
-                            NUMERIC_FEATURES, SchemaError, UNLABELED,
-                            build_label_vocabulary, encode_flow, fit_codec,
-                            label_records, load_flow_csv, read_flow_cache,
-                            strip_labels, write_flow_cache)
+from flowgnn.ingest import (BENIGN_NAME, FeatureCodec, FormatError,
+                            LabelVocabulary, NUMERIC_FEATURES, SchemaError,
+                            UNLABELED, build_label_vocabulary, encode_flow,
+                            fit_codec, label_records, load_flow_csv,
+                            read_flow_cache, strip_labels, write_flow_cache)
 
 SCHEMA = {
     "start_time": "ts_start", "end_time": "ts_end", "src_ip": "src",
@@ -224,8 +224,12 @@ class TestCache:
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "junk.pptf"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             read_flow_cache(path)
+
+    def test_format_error_is_a_value_error(self):
+        assert issubclass(FormatError, ValueError)
+        assert not issubclass(FormatError, SchemaError)
 
     def test_every_truncation_names_offset(self, tmp_path):
         path = tmp_path / "flows.pptf"
@@ -234,7 +238,7 @@ class TestCache:
         raw = path.read_bytes()
         for end in range(len(raw)):
             path.write_bytes(raw[:end])
-            with pytest.raises(ValueError, match=f"file ends at {end}"):
+            with pytest.raises(FormatError, match=f"file ends at {end}"):
                 read_flow_cache(path)
 
     def test_trailing_bytes_and_bad_table_index_rejected(self, tmp_path):
@@ -242,14 +246,14 @@ class TestCache:
         write_flow_cache([mk_flow(0, 0.0, 1.0)], path)
         raw = path.read_bytes()
         path.write_bytes(raw + b"\x00")
-        with pytest.raises(ValueError, match=f"1 trailing bytes after offset "
+        with pytest.raises(FormatError, match=f"1 trailing bytes after offset "
                                              f"{len(raw)}"):
             read_flow_cache(path)
         # the record is the last 86 bytes; its src key index sits at byte 24
         record = len(raw) - 86
         path.write_bytes(raw[:record + 24] + (7).to_bytes(4, "little")
                          + raw[record + 28:])
-        with pytest.raises(ValueError, match=f"offset {record}"):
+        with pytest.raises(FormatError, match=f"offset {record}"):
             read_flow_cache(path)
 
     @pytest.mark.parametrize("entry", [b"host-x", b"Dos"],
@@ -261,7 +265,7 @@ class TestCache:
         raw = path.read_bytes()
         at = raw.index(entry) + 1
         path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
-        with pytest.raises(ValueError, match=f"invalid UTF-8 in flow cache "
+        with pytest.raises(FormatError, match=f"invalid UTF-8 in flow cache "
                                              f"at offset {at}"):
             read_flow_cache(path)
 

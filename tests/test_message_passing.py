@@ -2,7 +2,12 @@
 `reference_ops`, the gather + segment-reduce step and the per-type
 sparse-operator step: same logits and same parameter gradients for every
 neighbour aggregator, and logits bitwise equal to the sparse-operator
-step's on the synth graphs and on dense random graphs."""
+step's on the synth graphs and on dense random graphs. Plans restricted to
+the target rows' receptive field keep the read sets of the brute-force
+oracle, never read a row outside them, and give logits bitwise equal to
+the plan that reads every row."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +18,11 @@ import reference_ops
 from flowgnn import model
 from flowgnn import tensor as T
 from flowgnn.ingest import encode_flows, fit_codec
-from flowgnn.model import (EdgeOperator, GraphArrays, ModelConfig,
+from flowgnn.model import (PHASES, EdgeOperator, GraphArrays, ModelConfig,
                            SourceProjection, forward_prepared, init_params,
                            message_plan, prepare_graph)
 from flowgnn.synth import temporal_pattern
-from flowgnn.tensor import Rng
+from flowgnn.tensor import Rng, Tensor
 from flowgnn.windows import ALL_EDGE_TYPES, GraphBuildConfig, build_temporal_graphs
 
 AGGREGATORS = ("sum", "mean", "max")
@@ -55,31 +60,46 @@ def assert_matches_reference(arrays, params, config):
             assert err <= GRAD_RTOL * scale, (oracle.__name__, name, err, scale)
 
 
-def operator_kinds(arrays):
+def plan_steps(arrays, num_layers):
+    """The StepPlan that each step of a `num_layers`-layer model runs."""
+    return [arrays.plan.step(back, phase) for back in range(num_layers)
+            for phase in PHASES]
+
+
+def operator_kinds(arrays, num_layers=2):
     """Which aggregation paths the non-empty edge types of `arrays` take."""
-    ops = [op for op in arrays.operators.values() if len(op.rows)]
+    ops = [op for step in plan_steps(arrays, num_layers)
+           for op in step.operators]
     return {"aggregate": any(isinstance(op, EdgeOperator) for op in ops),
             "project": any(isinstance(op, SourceProjection) for op in ops)}
 
 
-def synth_setup(aggregator):
+def w1_rows(arrays, num_layers):
+    return sum(len(op.rows) for step in plan_steps(arrays, num_layers)
+               for op in step.operators)
+
+
+def synth_setup(aggregator, num_layers=2):
+    """The last three synth graphs, with plans for the target rows of a
+    `num_layers`-layer model and with plans that read every row."""
     gc = GraphBuildConfig(window_size=5.0, window_memory=3)
     records = temporal_pattern(n_windows=8, sources_per_window=3, burst_len=4,
                                seed=17)
     codec = fit_codec(records)
     graphs = build_temporal_graphs(records, gc, encode_flows(records, codec))
-    config = ModelConfig(num_classes=3, hidden_size=8, classifier_hidden=8,
-                         neighbor_aggregator=aggregator)
+    config = ModelConfig(num_classes=3, num_layers=num_layers, hidden_size=8,
+                         classifier_hidden=8, neighbor_aggregator=aggregator)
     params = init_params(config, codec.feature_dim, gc, Rng(23))
-    prepared = [prepare_graph(g, gc) for g in graphs[-3:]]
+    prepared = [prepare_graph(g, gc, num_layers) for g in graphs[-3:]]
+    every_row = [prepare_graph(g, gc) for g in graphs[-3:]]
     assert all(any(len(a.edges[e][0]) for a in prepared) for e in ALL_EDGE_TYPES)
-    assert all(all(operator_kinds(a).values()) for a in prepared)
-    return prepared, params, config
+    assert all(all(operator_kinds(a, num_layers).values()) for a in prepared)
+    return prepared, every_row, params, config
 
 
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 def test_synth_graphs_match_reference(aggregator):
-    prepared, params, config = synth_setup(aggregator)
+    prepared, _, params, config = synth_setup(aggregator)
     for arrays in prepared:
         assert_matches_reference(arrays, params, config)
 
@@ -93,16 +113,89 @@ def assert_logits_equal_sparse_step(arrays, params, config):
 
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 def test_synth_logits_equal_sparse_step(aggregator):
-    prepared, params, config = synth_setup(aggregator)
+    prepared, _, params, config = synth_setup(aggregator)
     for arrays in prepared:
         assert_logits_equal_sparse_step(arrays, params, config)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_synth_logits_equal_all_rows_plan(aggregator, num_layers):
+    prepared, every_row, params, config = synth_setup(aggregator, num_layers)
+    for arrays, full in zip(prepared, every_row):
+        assert w1_rows(arrays, num_layers) < w1_rows(full, num_layers)
+        _, logits = forward_prepared(arrays, params, config)
+        _, full_logits = forward_prepared(full, params, config)
+        assert np.array_equal(logits.data, full_logits.data)
+
+
+def assert_read_sets_match_brute_force(arrays, num_layers):
+    oracle = reference_ops.read_sets(arrays.edges, arrays.target_rows,
+                                     num_layers)
+    assert len(arrays.plan.reads) == num_layers
+    for planned, layer in zip(arrays.plan.reads, oracle):
+        for phase, rows in layer.items():
+            assert np.array_equal(planned[phase], rows)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+def test_synth_read_sets_match_brute_force(num_layers):
+    prepared, _, _, _ = synth_setup("sum", num_layers)
+    for arrays in prepared:
+        assert_read_sets_match_brute_force(arrays, num_layers)
+
+
+def poisoned_logits(arrays, params, config):
+    """Logits when every step's input holds NaN outside its read set, and
+    how many rows were poisoned."""
+    step = model._hetero_step
+    poisoned = [0]
+
+    def poisoning_step(states, arrays, params, layer, phase, config):
+        rows = arrays.plan.reads[config.num_layers - 1 - layer][phase]
+        data = np.full_like(states.data, np.nan)
+        data[rows] = states.data[rows]
+        poisoned[0] += len(data) - len(rows)
+        return step(Tensor(data), arrays, params, layer, phase, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_hetero_step", poisoning_step)
+        _, logits = forward_prepared(arrays, params, config)
+    return logits.data, poisoned[0]
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_rows_outside_read_sets_are_never_read(aggregator, num_layers):
+    prepared, _, params, config = synth_setup(aggregator, num_layers)
+    for arrays in prepared:
+        _, logits = forward_prepared(arrays, params, config)
+        poisoned, count = poisoned_logits(arrays, params, config)
+        assert count > 0
+        assert np.isfinite(poisoned).all()
+        assert np.array_equal(poisoned, logits.data)
+
+
+def test_plan_serves_shallower_models_and_refuses_deeper_ones():
+    prepared, every_row, params, config = synth_setup("mean", num_layers=3)
+    shallow = replace(config, num_layers=2)
+    for arrays, full in zip(prepared, every_row):
+        assert arrays.plan.rest is None
+        assert np.array_equal(forward_prepared(arrays, params, shallow)[1].data,
+                              forward_prepared(full, params, shallow)[1].data)
+        # the plan lookup of the first step fails before it reads layer 3
+        with pytest.raises(ValueError, match="last 3 layers only, not 4"):
+            forward_prepared(arrays, params, replace(config, num_layers=4))
 
 
 SMALL_GC = GraphBuildConfig(flow_encoding_dim=2, window_encoding_dim=2)
 FEATURES = 3
 
 
-def random_arrays(n_flows, n_ips, edge_lists, seed):
+def random_arrays(n_flows, n_ips, edge_lists, seed, num_layers=2):
+    """GraphArrays over the given edges whose target rows are a seeded
+    random half of the flows (at least one), planned for the target rows
+    of a `num_layers`-layer model."""
     n = n_flows + n_ips
     rng = np.random.default_rng(seed)
     edges = {}
@@ -110,16 +203,15 @@ def random_arrays(n_flows, n_ips, edge_lists, seed):
         src = np.array([s % n for s, _ in pairs], dtype=np.int64)
         dst = np.array([d % n for _, d in pairs], dtype=np.int64)
         edges[etype] = (src, dst)
-    operators, steps = message_plan(edges, n)
+    targets = np.sort(rng.permutation(n_flows)[:max(1, n_flows // 2)])
     return GraphArrays(
         n_flows=n_flows, n_ips=n_ips,
         flow_input=rng.normal(size=(n_flows, FEATURES + 2)),
         ip_input=rng.normal(size=(n_ips, 3)),
-        edges=edges, operators=operators, steps=steps,
+        edges=edges, plan=message_plan(edges, n, targets, num_layers),
         window_bounds={"flow": np.array([0, n_flows]),
                        "ip": np.array([n_flows, n])},
-        target_rows=np.arange(n_flows, dtype=np.int64),
-        target_flow_ids=tuple(range(n_flows)))
+        target_rows=targets, target_flow_ids=tuple(targets.tolist()))
 
 
 # Small node counts make duplicate edges, empty edge types and nodes
@@ -139,6 +231,7 @@ def test_generated_graphs_match_reference(n_flows, n_ips, edge_lists,
     config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4,
                          neighbor_aggregator=aggregator)
     params = init_params(config, FEATURES, SMALL_GC, Rng(seed))
+    assert_read_sets_match_brute_force(arrays, config.num_layers)
     assert_matches_reference(arrays, params, config)
 
 
@@ -150,7 +243,9 @@ def test_duplicate_and_missing_edges_match_reference(aggregator):
     lists[ALL_EDGE_TYPES.index("intra_src")] = [(0, 2), (3, 2), (0, 2), (2, 0)]
     lists[ALL_EDGE_TYPES.index("flow_to_src")] = [(0, 4), (2, 4), (3, 4)]
     arrays = random_arrays(4, 1, lists, 5)
-    assert np.array_equal(arrays.operators["intra_src"].degree, [1.0, 3.0])
+    full = message_plan(arrays.edges, arrays.num_nodes).rest["temporal"]
+    assert np.array_equal(full.operators[full.etypes.index("intra_src")].degree,
+                          [1.0, 3.0])
     config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4,
                          neighbor_aggregator=aggregator)
     assert_matches_reference(arrays, init_params(config, FEATURES, SMALL_GC,
@@ -222,9 +317,11 @@ def test_projected_and_aggregated_types_match_reference(graph, aggregator,
 
 
 def mixed_arrays():
-    """Every path once: intra_src aggregates (destination 2 repeats),
-    flow_to_src and inter_ip project shared sources, src_to_flow projects
-    one source per row, the rest are empty."""
+    """Every path in a two-layer plan for target flows 0 and 3: intra_src
+    aggregates in the first layer (destination 2 repeats) and keeps only
+    2 -> 0, projected, in the last; flow_to_src and inter_ip project shared
+    sources, src_to_flow projects one source per row, the rest are
+    empty."""
     lists = [[] for _ in ALL_EDGE_TYPES]
     lists[ALL_EDGE_TYPES.index("intra_src")] = [(0, 2), (3, 2), (1, 2), (2, 0)]
     lists[ALL_EDGE_TYPES.index("flow_to_src")] = [(0, 4), (0, 5), (2, 6)]
@@ -238,10 +335,11 @@ def mixed_arrays():
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 def test_planned_step_gradients(aggregator):
     arrays = mixed_arrays()
-    config = ModelConfig(num_classes=2, num_layers=1, hidden_size=3,
+    assert np.array_equal(arrays.target_rows, [0, 3])
+    config = ModelConfig(num_classes=2, num_layers=2, hidden_size=3,
                          classifier_layers=1, neighbor_aggregator=aggregator)
     params = init_params(config, FEATURES, SMALL_GC, Rng(31))
-    targets = np.arange(arrays.n_flows) % 2
+    targets = np.arange(len(arrays.target_rows)) % 2
 
     def loss(p):
         return T.cross_entropy(forward_prepared(arrays, p, config)[1], targets)

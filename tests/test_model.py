@@ -5,7 +5,8 @@ import pytest
 
 from conftest import mk_flow, sort_flows
 from flowgnn import tensor as T
-from flowgnn.ingest import LabelVocabulary, encode_flows, fit_codec
+from flowgnn.ingest import (FormatError, LabelVocabulary, encode_flows,
+                            fit_codec)
 from flowgnn.model import (CompatibilityError, ModelConfig, build_metadata,
                            check_encoder_compat, config_from_items,
                            config_items, configs_from_metadata,
@@ -337,7 +338,7 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pptg"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
     def test_every_truncation_names_offset(self, tmp_path):
@@ -346,7 +347,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         for end in range(len(raw)):
             path.write_bytes(raw[:end])
-            with pytest.raises(ValueError, match=f"file ends at {end}"):
+            with pytest.raises(FormatError, match=f"file ends at {end}"):
                 load_checkpoint(path)
 
     def test_length_overrun_and_trailing_bytes_rejected(self, tmp_path):
@@ -354,10 +355,10 @@ class TestCheckpoint:
         save_checkpoint({"w": Tensor(np.arange(3.0))}, {"k": "v"}, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:8] + struct.pack("<Q", 1 << 40) + raw[16:])
-        with pytest.raises(ValueError, match="at offset 16"):
+        with pytest.raises(FormatError, match="at offset 16"):
             load_checkpoint(path)
         path.write_bytes(raw + b"\x00\x00")
-        with pytest.raises(ValueError, match=f"2 trailing bytes after offset "
+        with pytest.raises(FormatError, match=f"2 trailing bytes after offset "
                                              f"{len(raw)}"):
             load_checkpoint(path)
 
@@ -369,7 +370,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         at = raw.index(text) + 1
         path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
-        with pytest.raises(ValueError, match=f"invalid UTF-8 in checkpoint "
+        with pytest.raises(FormatError, match=f"invalid UTF-8 in checkpoint "
                                              f"at offset {at}"):
             load_checkpoint(path)
 

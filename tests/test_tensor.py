@@ -128,6 +128,23 @@ class TestOps:
 
         assert T.check_gradients(f, params) < 1e-8
 
+    @pytest.mark.parametrize("hidden", [3, 16, 128])
+    def test_products_round_each_row_whatever_the_row_count(self, hidden):
+        rng = Rng(25)
+        x = rng.normal((64, hidden))
+        w = Tensor(rng.normal((hidden, hidden)))
+        full = T.matmul(Tensor(x), w).data
+        for k in range(1, 6):
+            for lo in (0, 7, 64 - k):
+                rows = x[lo:lo + k]
+                expected = full[lo:lo + k].view(np.uint64)
+                assert np.array_equal(
+                    T.matmul(Tensor(rows), w).data.view(np.uint64), expected)
+                zero = Tensor(np.zeros((k, hidden)))
+                assert np.array_equal(
+                    T.stack_affine([(Tensor(rows), w, zero)]).data
+                    .view(np.uint64), expected)
+
     def test_replace_rows_forward_and_backward_exact(self):
         x = Tensor(np.array([[1.0, 2.0], [np.inf, -np.inf], [5.0, 6.0],
                              [7.0, 8.0]]))
