@@ -232,13 +232,12 @@ class MessagePlan:
     A step's read set, the rows of its input that it or a later step reads,
     depends only on the steps after it, so a plan for the target rows runs
     back from the last layer: `last[j][phase]` is the plan of that phase in
-    the layer j places before the last, and `reads[j][phase]` the sorted
-    rows of its read set. A plan for a read of every row has no `last`
-    layers, and every layer runs `rest`, the unrestricted per-phase plans.
+    the layer j places before the last. A plan for a read of every row has
+    no `last` layers, and every layer runs `rest`, the unrestricted
+    per-phase plans.
     """
 
     last: tuple[dict[str, StepPlan], ...]
-    reads: tuple[dict[str, np.ndarray], ...]
     rest: dict[str, StepPlan] | None
 
     def step(self, back: int, phase: str) -> StepPlan:
@@ -274,13 +273,12 @@ def message_plan(edges: Mapping[str, tuple[np.ndarray, np.ndarray]],
         return full[phase]
 
     if num_layers is None:
-        return MessagePlan((), (), {phase: unrestricted(phase)
-                                    for phase in PHASES})
+        return MessagePlan((), {phase: unrestricted(phase) for phase in PHASES})
     read = np.zeros(num_nodes, dtype=bool)
     read[target_rows] = True
-    last, reads = [], []
+    last = []
     for _ in range(num_layers):
-        layer, layer_reads = {}, {}
+        layer = {}
         for phase in reversed(PHASES):     # spatial runs last in a layer
             keep = {e: read[edges[e][1]] for e in PHASES[phase]}
             if all(k.all() for k in keep.values()):
@@ -290,10 +288,8 @@ def message_plan(edges: Mapping[str, tuple[np.ndarray, np.ndarray]],
                                           for e, k in keep.items()}, num_nodes)
             for src, _ in layer[phase].edges:
                 read[src] = True
-            layer_reads[phase] = np.flatnonzero(read)
         last.append(layer)
-        reads.append(layer_reads)
-    return MessagePlan(tuple(last), tuple(reads), None)
+    return MessagePlan(tuple(last), None)
 
 
 @dataclass(frozen=True)

@@ -129,30 +129,52 @@ def test_synth_logits_equal_all_rows_plan(aggregator, num_layers):
         assert np.array_equal(logits.data, full_logits.data)
 
 
-def assert_read_sets_match_brute_force(arrays, num_layers):
-    oracle = reference_ops.read_sets(arrays.edges, arrays.target_rows,
-                                     num_layers)
-    assert len(arrays.plan.reads) == num_layers
-    for planned, layer in zip(arrays.plan.reads, oracle):
-        for phase, rows in layer.items():
-            assert np.array_equal(planned[phase], rows)
+def oracle_steps(arrays, num_layers):
+    """(back, phase, rows read before the step, rows read after it) of each
+    step of a `num_layers`-layer model, from the last step back, by the
+    brute-force receptive-field oracle."""
+    after = sorted(int(r) for r in arrays.target_rows)
+    for back, layer in enumerate(reference_ops.read_sets(
+            arrays.edges, arrays.target_rows, num_layers)):
+        for phase in ("spatial", "temporal"):
+            yield back, phase, layer[phase], after
+            after = layer[phase]
+
+
+def assert_steps_keep_brute_force_edges(arrays, num_layers):
+    """Each planned step keeps exactly the edges of its phase whose
+    destination the oracle reads after it, in edge order."""
+    assert len(arrays.plan.last) == num_layers
+    for back, phase, _, after in oracle_steps(arrays, num_layers):
+        read = set(after)
+        kept = {}
+        for etype in PHASES[phase]:
+            pairs = [(s, d) for s, d in zip(*arrays.edges[etype]) if d in read]
+            if pairs:
+                kept[etype] = pairs
+        step = arrays.plan.step(back, phase)
+        assert step.etypes == tuple(kept)
+        for etype, (src, dst) in zip(step.etypes, step.edges):
+            assert list(zip(src, dst)) == kept[etype]
 
 
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
-def test_synth_read_sets_match_brute_force(num_layers):
+def test_synth_steps_keep_brute_force_edges(num_layers):
     prepared, _, _, _ = synth_setup("sum", num_layers)
     for arrays in prepared:
-        assert_read_sets_match_brute_force(arrays, num_layers)
+        assert_steps_keep_brute_force_edges(arrays, num_layers)
 
 
 def poisoned_logits(arrays, params, config):
-    """Logits when every step's input holds NaN outside its read set, and
-    how many rows were poisoned."""
+    """Logits when every step's input holds NaN outside the oracle's read
+    set of that step, and how many rows were poisoned."""
     step = model._hetero_step
+    reads = {(config.num_layers - 1 - back, phase): rows for back, phase, rows, _
+             in oracle_steps(arrays, config.num_layers)}
     poisoned = [0]
 
     def poisoning_step(states, arrays, params, layer, phase, config):
-        rows = arrays.plan.reads[config.num_layers - 1 - layer][phase]
+        rows = reads[layer, phase]
         data = np.full_like(states.data, np.nan)
         data[rows] = states.data[rows]
         poisoned[0] += len(data) - len(rows)
@@ -193,9 +215,10 @@ FEATURES = 3
 
 
 def random_arrays(n_flows, n_ips, edge_lists, seed, num_layers=2):
-    """GraphArrays over the given edges whose target rows are a seeded
-    random half of the flows (at least one), planned for the target rows
-    of a `num_layers`-layer model."""
+    """GraphArrays over the given edges. With `num_layers` None every flow
+    is a target and the plan reads every row, as pre-training's does;
+    otherwise the targets are a seeded random half of the flows (at least
+    one), planned for the target rows of a `num_layers`-layer model."""
     n = n_flows + n_ips
     rng = np.random.default_rng(seed)
     edges = {}
@@ -203,7 +226,10 @@ def random_arrays(n_flows, n_ips, edge_lists, seed, num_layers=2):
         src = np.array([s % n for s, _ in pairs], dtype=np.int64)
         dst = np.array([d % n for _, d in pairs], dtype=np.int64)
         edges[etype] = (src, dst)
-    targets = np.sort(rng.permutation(n_flows)[:max(1, n_flows // 2)])
+    if num_layers is None:
+        targets = np.arange(n_flows, dtype=np.int64)
+    else:
+        targets = np.sort(rng.permutation(n_flows)[:max(1, n_flows // 2)])
     return GraphArrays(
         n_flows=n_flows, n_ips=n_ips,
         flow_input=rng.normal(size=(n_flows, FEATURES + 2)),
@@ -213,6 +239,11 @@ def random_arrays(n_flows, n_ips, edge_lists, seed, num_layers=2):
                        "ip": np.array([n_flows, n])},
         target_rows=targets, target_flow_ids=tuple(targets.tolist()))
 
+
+# The oracle tests run each graph twice: with every flow a target on the
+# plan that reads every row, then with half the flows as targets on the
+# plan restricted to their receptive field.
+PLANS = (None, 2)
 
 # Small node counts make duplicate edges, empty edge types and nodes
 # without in-edges common.
@@ -227,12 +258,14 @@ edge_list = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
        seed=st.integers(0, 2**32 - 1))
 def test_generated_graphs_match_reference(n_flows, n_ips, edge_lists,
                                           aggregator, seed):
-    arrays = random_arrays(n_flows, n_ips, edge_lists, seed)
     config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4,
                          neighbor_aggregator=aggregator)
     params = init_params(config, FEATURES, SMALL_GC, Rng(seed))
-    assert_read_sets_match_brute_force(arrays, config.num_layers)
-    assert_matches_reference(arrays, params, config)
+    for num_layers in PLANS:
+        arrays = random_arrays(n_flows, n_ips, edge_lists, seed, num_layers)
+        if num_layers is not None:
+            assert_steps_keep_brute_force_edges(arrays, num_layers)
+        assert_matches_reference(arrays, params, config)
 
 
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
@@ -242,21 +275,23 @@ def test_duplicate_and_missing_edges_match_reference(aggregator):
     lists = [[] for _ in ALL_EDGE_TYPES]
     lists[ALL_EDGE_TYPES.index("intra_src")] = [(0, 2), (3, 2), (0, 2), (2, 0)]
     lists[ALL_EDGE_TYPES.index("flow_to_src")] = [(0, 4), (2, 4), (3, 4)]
-    arrays = random_arrays(4, 1, lists, 5)
-    full = message_plan(arrays.edges, arrays.num_nodes).rest["temporal"]
+    prepared = [random_arrays(4, 1, lists, 5, num_layers)
+                for num_layers in PLANS]
+    full = prepared[0].plan.rest["temporal"]
     assert np.array_equal(full.operators[full.etypes.index("intra_src")].degree,
                           [1.0, 3.0])
     config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4,
                          neighbor_aggregator=aggregator)
-    assert_matches_reference(arrays, init_params(config, FEATURES, SMALL_GC,
-                                                 Rng(8)), config)
+    params = init_params(config, FEATURES, SMALL_GC, Rng(8))
+    for arrays in prepared:
+        assert_matches_reference(arrays, params, config)
 
 
-def dense_arrays(seed):
+def dense_arrays(seed, num_layers):
     """24 flows and 8 IPs with 40 random edges per type, so that rows are
     reached by three or four types of a phase and the order of their sum
     shows in the bits; src_to_flow and dst_to_flow give 20 flows one IP
-    each, so both project shared sources."""
+    each, so both project shared sources. Planned as `random_arrays`."""
     rng = np.random.default_rng(seed)
     n_flows, n_ips = 24, 8
     lists = []
@@ -267,7 +302,7 @@ def dense_arrays(seed):
         else:
             src, dst = rng.integers(0, n_flows + n_ips, (2, 40))
         lists.append(list(zip(src.tolist(), dst.tolist())))
-    arrays = random_arrays(n_flows, n_ips, lists, seed)
+    arrays = random_arrays(n_flows, n_ips, lists, seed, num_layers)
     assert all(operator_kinds(arrays).values())
     return arrays
 
@@ -277,9 +312,10 @@ def test_dense_logits_equal_sparse_step(aggregator):
     config = ModelConfig(num_classes=3, hidden_size=16, classifier_hidden=4,
                          neighbor_aggregator=aggregator)
     for seed in range(3):
-        assert_logits_equal_sparse_step(
-            dense_arrays(seed),
-            init_params(config, FEATURES, SMALL_GC, Rng(seed)), config)
+        params = init_params(config, FEATURES, SMALL_GC, Rng(seed))
+        for num_layers in PLANS:
+            assert_logits_equal_sparse_step(dense_arrays(seed, num_layers),
+                                            params, config)
 
 
 @st.composite
@@ -307,13 +343,14 @@ def mixed_graphs(draw):
        seed=st.integers(0, 2**32 - 1))
 def test_projected_and_aggregated_types_match_reference(graph, aggregator,
                                                         seed):
-    arrays = random_arrays(*graph, seed)
-    kinds = operator_kinds(arrays)
+    prepared = [random_arrays(*graph, seed, num_layers) for num_layers in PLANS]
+    kinds = operator_kinds(prepared[0])
     assume(kinds["aggregate"] and kinds["project"])
     config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4,
                          neighbor_aggregator=aggregator)
     params = init_params(config, FEATURES, SMALL_GC, Rng(seed))
-    assert_matches_reference(arrays, params, config)
+    for arrays in prepared:
+        assert_matches_reference(arrays, params, config)
 
 
 def mixed_arrays():

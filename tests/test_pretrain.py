@@ -260,7 +260,7 @@ def as_edges(pairs, n):
        no_negatives=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_generated_link_prediction_matches_reference(
         n_flows, n_ips, edge_lists, negative_lists, no_negatives, seed):
-    arrays = random_arrays(n_flows, n_ips, edge_lists, seed)
+    arrays = random_arrays(n_flows, n_ips, edge_lists, seed, num_layers=None)
     n = arrays.num_nodes
     negatives = {etype: as_edges([] if no_negatives else pairs, n)
                  for etype, pairs in zip(ALL_EDGE_TYPES, negative_lists)}
@@ -285,7 +285,7 @@ def test_link_prediction_gradient_check():
     negative_lists[ALL_EDGE_TYPES.index("intra_src")] = [(2, 3), (3, 1)]
     lists[ALL_EDGE_TYPES.index("flow_to_src")] = [(0, 4), (2, 4)]
     negative_lists[ALL_EDGE_TYPES.index("inter_flow")] = [(1, 3)]
-    arrays = random_arrays(4, 1, lists, 3)
+    arrays = random_arrays(4, 1, lists, 3, num_layers=None)
     task = LinkPredTask(arrays.edges,
                         {etype: as_edges(pairs, 5) for etype, pairs
                          in zip(ALL_EDGE_TYPES, negative_lists)}, 1.0)
