@@ -262,13 +262,15 @@ def build_label_vocabulary(records: Iterable[FlowRecord]) -> LabelVocabulary:
 
 def label_records(records: Sequence[FlowRecord],
                   vocab: LabelVocabulary) -> tuple[FlowRecord, ...]:
-    """Fill `label` from `attack_name`; records without a name stay unlabeled."""
+    """Fill `label` from `attack_name`; records without a name stay unlabeled.
+    A record whose label is already right comes back as the same object."""
     out = []
     for r in records:
         if r.attack_name is None:
             out.append(r)
         else:
-            out.append(replace(r, label=vocab.index_of(r.attack_name)))
+            label = vocab.index_of(r.attack_name)
+            out.append(r if r.label == label else replace(r, label=label))
     return tuple(out)
 
 

@@ -38,7 +38,8 @@ import json
 import math
 import struct
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -89,21 +90,6 @@ class ModelConfig:
 # graph -> dense arrays
 
 
-@dataclass(frozen=True)
-class EdgeOperator:
-    """Sum aggregation over one edge type's edges, for `T.spmm`.
-
-    `matrix` is the (len(rows), n) CSR matrix whose row i sums the states of
-    the in-neighbours of node rows[i], in edge order; `transpose` is its
-    (n, len(rows)) CSR transpose for the backward pass.
-    """
-
-    rows: np.ndarray            # sorted distinct destination rows
-    matrix: sparse.csr_array
-    transpose: sparse.csr_array
-    degree: np.ndarray          # in-degree of each row, float64
-
-
 def _sum_matrix(row: np.ndarray, col: np.ndarray, shape) -> sparse.csr_array:
     """CSR matrix with one entry 1 at (row[e], col[e]) per edge e; each row
     keeps its entries in edge order, so it sums them in that order."""
@@ -123,29 +109,57 @@ def _sum_matrix(row: np.ndarray, col: np.ndarray, shape) -> sparse.csr_array:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """A constant sparse operator for `T.spmm`: the CSR `matrix` and its
-    CSR `transpose`, whose product sums the gradient rows of the backward
-    pass in storage order as well."""
+    """A constant 0/1 sparse operator for `T.spmm`, with one entry at
+    (row[e], col[e]) per index e.
 
-    matrix: sparse.csr_array
-    transpose: sparse.csr_array
+    `matrix` is its (m, n) CSR matrix and `transpose` the (n, m) CSR
+    matrix of its transpose, each row holding its entries in index order,
+    so both the forward product and the backward one sum each row in that
+    order. Only the backward pass reads `transpose`, so it is built on
+    first use, and a forward-only pass builds none.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    shape: tuple[int, int]
+    matrix: sparse.csr_array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix",
+                           _sum_matrix(self.row, self.col, self.shape))
+
+    @cached_property
+    def transpose(self) -> sparse.csr_array:
+        return _sum_matrix(self.col, self.row, self.shape[::-1])
+
+
+@dataclass(frozen=True)
+class EdgeOperator(SparseOperator):
+    """Sum aggregation over one edge type's edges, for `T.spmm`: edge e
+    runs from node col[e] to node rows[row[e]], so row i of `matrix` sums
+    the states of the in-neighbours of node rows[i], in edge order."""
+
+    rows: np.ndarray            # sorted distinct destination rows
+    degree: np.ndarray          # in-degree of each row, float64
+
+    @cached_property
+    def gather(self) -> SparseOperator:
+        """The source state of every edge, in edge order, for `max`."""
+        return row_gather(self.col, self.shape[1])
 
 
 def row_gather(idx: np.ndarray, num_rows: int) -> SparseOperator:
     """Row gather `x[idx]` as `T.spmm(gather, x)`: a (len(idx), num_rows)
     one-hot matrix; its transpose sums the gradient rows of a repeated
     index in index order."""
-    slot = np.arange(len(idx))
-    return SparseOperator(_sum_matrix(slot, idx, (len(idx), num_rows)),
-                          _sum_matrix(idx, slot, (num_rows, len(idx))))
+    return SparseOperator(np.arange(len(idx)), idx, (len(idx), num_rows))
 
 
 def row_place(slot: np.ndarray, num_rows: int) -> SparseOperator:
     """Row i of x summed into row slot[i] of a (num_rows, d) result, each
     row in index order, as `T.spmm(place, x)`: the transpose of
     `row_gather(slot, num_rows)`."""
-    gather = row_gather(slot, num_rows)
-    return SparseOperator(gather.transpose, gather.matrix)
+    return SparseOperator(slot, np.arange(len(slot)), (num_rows, len(slot)))
 
 
 def _distinct(rows: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +173,7 @@ def _distinct(rows: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]
 def _edge_operator(src: np.ndarray, rows: np.ndarray, slot: np.ndarray,
                    num_nodes: int) -> EdgeOperator:
     """The `EdgeOperator` of edges src[e] -> rows[slot[e]]."""
-    return EdgeOperator(rows, _sum_matrix(slot, src, (len(rows), num_nodes)),
-                        _sum_matrix(src, slot, (num_nodes, len(rows))),
+    return EdgeOperator(slot, src, (len(rows), num_nodes), rows,
                         np.bincount(slot, minlength=len(rows)).astype(np.float64))
 
 
@@ -472,24 +485,19 @@ def init_node_states(arrays: GraphArrays, params: Mapping[str, Tensor],
     return T.concat_rows([flow_h, ip_h])
 
 
-def _aggregate(states: Tensor, edges, op: EdgeOperator,
-               aggregator: str) -> Tensor:
+def _aggregate(states: Tensor, op: EdgeOperator, aggregator: str) -> Tensor:
     """In-neighbour states aggregated per destination row of `op`."""
     if aggregator == "max":
-        src, dst = edges
-        sources = T.spmm(row_gather(src, len(states.data)), states)
-        return T.segment_max(sources, np.searchsorted(op.rows, dst),
-                             len(op.rows))
+        return T.segment_max(T.spmm(op.gather, states), op.row, len(op.rows))
     total = T.spmm(op, states)
     return total if aggregator == "sum" else T.div_const(total, op.degree[:, None])
 
 
-def _neighbour_term(states: Tensor, edges, op, w2: Tensor,
-                    aggregator: str) -> Tensor:
+def _neighbour_term(states: Tensor, op, w2: Tensor, aggregator: str) -> Tensor:
     """The aggregated in-neighbour states of `op.rows` times W2."""
     if isinstance(op, SourceProjection):
         return T.spmm(op.spread, T.matmul(T.take_rows(states, op.sources), w2))
-    return T.matmul(_aggregate(states, edges, op, aggregator), w2)
+    return T.matmul(_aggregate(states, op, aggregator), w2)
 
 
 def _hetero_step(states: Tensor, arrays: GraphArrays,
@@ -499,10 +507,10 @@ def _hetero_step(states: Tensor, arrays: GraphArrays,
     if not plan.etypes:
         return states
     terms = []
-    for etype, edges, op in zip(plan.etypes, plan.edges, plan.operators):
+    for etype, op in zip(plan.etypes, plan.operators):
         base = f"layer{layer}.{phase}.{etype}"
         terms.append((T.take_rows(states, op.rows), params[f"{base}.W1"],
-                      _neighbour_term(states, edges, op, params[f"{base}.W2"],
+                      _neighbour_term(states, op, params[f"{base}.W2"],
                                       config.neighbor_aggregator)))
     act = T.ACTIVATIONS[config.activation]
     return T.replace_rows(states, plan.rows,

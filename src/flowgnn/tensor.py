@@ -12,17 +12,37 @@ gradients are implemented per operation on a small tape (parent links +
 backward closures). The forward products of `matmul` and `stack_affine`
 give each row the same bits whatever the row count, so a row computed
 among fewer rows matches the same row computed among all.
+
+Inside `no_grad()` the tape is off: a new tensor keeps no parents and no
+backward closure, so a forward-only pass frees each intermediate array as
+soon as the next operation has used it, and computes the same values.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+#: False inside `no_grad()`: new tensors record no parents and no backward
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Turn the tape off for the block (process-wide) and restore the
+    previous mode on leaving it, also when the block raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -31,6 +51,7 @@ class Tensor:
     Tensors are immutable through the public ops; building an op records
     parent links and a backward closure so that a later `backward()` call
     on a scalar result fills `.grad` on every tensor that contributed.
+    Inside `no_grad()` both are dropped at construction.
     """
 
     __slots__ = ("data", "grad", "_owns_grad", "_parents", "_backward")
@@ -39,6 +60,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._owns_grad = False
+        if not _recording:
+            parents, backward = (), None
         self._parents = parents
         self._backward = backward
 
@@ -73,6 +96,8 @@ class Tensor:
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""
+        if not _recording:
+            raise ValueError("backward() called inside no_grad()")
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
         # Iterative topological order (graphs can chain many adds).
@@ -242,9 +267,9 @@ def spmm(op, x: Tensor) -> Tensor:
     """Sparse-dense product `op.matrix @ x` by a constant sparse operator.
 
     `op.matrix` is an (m, n) scipy CSR matrix and `op.transpose` its (n, m)
-    transpose, also CSR and built once by the caller, so the backward pass
-    `op.transpose @ g` is a row-wise sum as well. Each output row sums its
-    stored entries in storage order.
+    transpose, also CSR, so the backward pass `op.transpose @ g` is a
+    row-wise sum as well; only the backward pass reads `op.transpose`.
+    Each output row sums its stored entries in storage order.
     """
 
     def bw(g):
@@ -264,12 +289,11 @@ def segment_max(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     counts = np.bincount(seg, minlength=num_segments)
     out[counts == 0] = 0.0
 
-    is_max = x.data == out[seg]
-    cand = np.where(is_max, np.arange(n_rows)[:, None], n_rows)
-    argmin = np.full((num_segments, d), n_rows, dtype=np.int64)
-    np.minimum.at(argmin, seg, cand)
-
     def bw(g):
+        is_max = x.data == out[seg]
+        cand = np.where(is_max, np.arange(n_rows)[:, None], n_rows)
+        argmin = np.full((num_segments, d), n_rows, dtype=np.int64)
+        np.minimum.at(argmin, seg, cand)
         buf = np.zeros_like(x.data)
         s_idx, c_idx = np.nonzero(argmin < n_rows)
         buf_rows = argmin[s_idx, c_idx]
@@ -374,13 +398,24 @@ class AdamState:
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on `params` and `state`."""
+    """One bias-corrected Adam update, in place on `params` and `state`.
+
+    A parameter without a gradient counts as a zero gradient. One that has
+    no moments yet would get an update of exactly zero, so it is skipped
+    and gets its moments with its first gradient. The update is computed in
+    two scratch buffers shared by all parameters, operation by operation
+    as `lr * m_hat / (sqrt(v_hat) + eps)`.
+    """
     state.step += 1
     t = state.step
+    size = max((p.data.size for p in params.values()), default=0)
+    scratch = np.empty((2, size))
     for name in params:
         p = params[name]
-        g = np.asarray(grads.get(name)) if grads.get(name) is not None \
-            else np.zeros_like(p.data)
+        g = grads.get(name)
+        if g is None and name not in state.m:
+            continue
+        g = np.zeros_like(p.data) if g is None else np.asarray(g)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}: "
                              f"{g.shape} vs {p.data.shape}")
@@ -389,13 +424,18 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(1.0 - state.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - state.beta1 ** t, out=a)
+        np.multiply(state.lr, a, out=a)
+        np.divide(v, 1.0 - state.beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p.data -= np.divide(a, b, out=a)
 
 
 def zero_grads(params: Mapping[str, Tensor]) -> None:
@@ -465,10 +505,11 @@ def check_gradients(f: Callable[[Mapping[str, Tensor]], Tensor],
         a_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = f(params).item()
-            flat[i] = orig - eps
-            f_minus = f(params).item()
+            with no_grad():
+                flat[i] = orig + eps
+                f_plus = f(params).item()
+                flat[i] = orig - eps
+                f_minus = f(params).item()
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = a_flat[i]

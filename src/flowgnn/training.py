@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -109,22 +109,24 @@ def _labeled(flow_ids: Sequence[int], labels: Mapping[int, int]):
             np.asarray(classes, dtype=np.int64))
 
 
-def predict_flows(prepared: Sequence[GraphArrays],
+def predict_flows(prepared: Iterable[GraphArrays],
                   params: Mapping[str, Tensor],
                   model_config: ModelConfig) -> dict[int, int]:
-    """Last-window argmax prediction per flow across all target windows."""
+    """Last-window argmax prediction per flow across all target windows.
+    Forward only: no pass records a tape."""
     out: dict[int, int] = {}
     for arrays in prepared:  # ascending target windows
         if len(arrays.target_rows) == 0:
             continue
-        _, logits = forward_prepared(arrays, params, model_config)
+        with T.no_grad():
+            _, logits = forward_prepared(arrays, params, model_config)
         preds = logits.data.argmax(axis=1)
         for flow_id, pred in zip(arrays.target_flow_ids, preds):
             out[flow_id] = int(pred)
     return out
 
 
-def _labeled_predictions(prepared: Sequence[GraphArrays],
+def _labeled_predictions(prepared: Iterable[GraphArrays],
                          params: Mapping[str, Tensor], model_config: ModelConfig,
                          labels: Mapping[int, int]):
     """(true, predicted) classes of the labeled predicted flows, by id."""
@@ -226,10 +228,11 @@ def evaluate(params: Mapping[str, Tensor], test_graphs: Sequence[TemporalGraph],
              model_config: ModelConfig, graph_config: GraphBuildConfig,
              train_seconds: float = 0.0) -> MetricsReport:
     """Score each labeled flow once, on its chronologically last prediction;
-    binary F1 collapses every attack class against benign."""
+    binary F1 collapses every attack class against benign. Each graph is
+    prepared just before it is scored and dropped after."""
     ordered = sorted(test_graphs, key=lambda g: g.target.window_index)
-    prepared = [prepare_graph(g, graph_config, model_config.num_layers)
-                for g in ordered]
+    prepared = (prepare_graph(g, graph_config, model_config.num_layers)
+                for g in ordered)
     y_true, y_pred = _labeled_predictions(prepared, params, model_config,
                                           labels)
     if len(y_true) == 0:
@@ -293,10 +296,12 @@ def mlp_baseline(train_flows: Sequence[FlowRecord],
                                class_weights=weights), len(y_train), {})
 
     def score(p):
-        val_pred = _mlp_forward(x_val, p).data.argmax(axis=1)
+        with T.no_grad():
+            val_pred = _mlp_forward(x_val, p).data.argmax(axis=1)
         return f1_scores(y_val, val_pred, num_classes)[1]
 
     result = fit(params, config.epochs, config.lr, steps,
                  score if len(y_val) > 0 else None)
-    y_pred = _mlp_forward(x_test, result.params).data.argmax(axis=1)
+    with T.no_grad():
+        y_pred = _mlp_forward(x_test, result.params).data.argmax(axis=1)
     return build_report(y_test, y_pred, vocab, result.seconds)

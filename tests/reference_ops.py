@@ -25,6 +25,10 @@ project-then-gather form replaced. It gathers both endpoint states of every
 edge, concatenates them into an E x 2h matrix and multiplies that by the
 first-layer weight, scoring a type's positives and negatives in two calls;
 the gathers scatter-add their gradients with `np.add.at`.
+
+Adam: the update that `flowgnn.tensor.adam_step` replaced. It updates every
+parameter, giving one without a gradient a zero gradient, and allocates a
+fresh array for each intermediate of the update.
 """
 
 import numpy as np
@@ -311,3 +315,28 @@ def link_pred_loss(arrays, task, params, config):
     target_vec = np.concatenate(targets)
     loss = T.binary_cross_entropy(logits, target_vec)
     return loss, logits.data.reshape(-1), target_vec
+
+
+def adam_step(params, grads, state):
+    """Drop-in replacement for `flowgnn.tensor.adam_step`."""
+    state.step += 1
+    t = state.step
+    for name in params:
+        p = params[name]
+        g = np.asarray(grads.get(name)) if grads.get(name) is not None \
+            else np.zeros_like(p.data)
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient shape mismatch for {name!r}: "
+                             f"{g.shape} vs {p.data.shape}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1 ** t)
+        v_hat = v / (1.0 - state.beta2 ** t)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -196,6 +196,21 @@ class TestVocabulary:
         with pytest.raises(KeyError):
             vocab.index_of("Worm")
 
+    def test_label_records_keeps_correctly_labelled_records(self):
+        vocab = LabelVocabulary((BENIGN_NAME, "Dos", "Scan"))
+        flows = [mk_flow(0, 0.0, 1.0, attack_name="Dos"),
+                 mk_flow(1, 0.0, 1.0, label=2, attack_name="Scan"),
+                 mk_flow(2, 0.0, 1.0, label=2, attack_name="Dos"),
+                 mk_flow(3, 0.0, 1.0),
+                 mk_flow(4, 0.0, 1.0, label=0, attack_name=BENIGN_NAME)]
+        labelled = label_records(flows, vocab)
+        assert [r.label for r in labelled] == [1, 2, 1, UNLABELED, 0]
+        assert [r is f for r, f in zip(labelled, flows)] == \
+            [False, True, False, True, True]
+        again = label_records(labelled, vocab)
+        assert again == labelled
+        assert all(r is f for r, f in zip(again, labelled))
+
     def test_strip_labels(self):
         flows = [mk_flow(0, 0.0, 1.0, label=1, attack_name="Dos")]
         stripped = strip_labels(flows)

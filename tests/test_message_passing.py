@@ -5,7 +5,9 @@ neighbour aggregator, and logits bitwise equal to the sparse-operator
 step's on the synth graphs and on dense random graphs. Plans restricted to
 the target rows' receptive field keep the read sets of the brute-force
 oracle, never read a row outside them, and give logits bitwise equal to
-the plan that reads every row."""
+the plan that reads every row. Forward passes without a tape give the same
+logits and build no transpose; transposes built on first use give the
+gradients of transposes built up front."""
 
 from dataclasses import replace
 
@@ -23,6 +25,7 @@ from flowgnn.model import (PHASES, EdgeOperator, GraphArrays, ModelConfig,
                            message_plan, prepare_graph)
 from flowgnn.synth import temporal_pattern
 from flowgnn.tensor import Rng, Tensor
+from flowgnn.training import predict_flows
 from flowgnn.windows import ALL_EDGE_TYPES, GraphBuildConfig, build_temporal_graphs
 
 AGGREGATORS = ("sum", "mean", "max")
@@ -208,6 +211,77 @@ def test_plan_serves_shallower_models_and_refuses_deeper_ones():
         # the plan lookup of the first step fails before it reads layer 3
         with pytest.raises(ValueError, match="last 3 layers only, not 4"):
             forward_prepared(arrays, params, replace(config, num_layers=4))
+
+
+def sparse_operators(arrays, build_gathers=False):
+    """Every `SparseOperator` of the plan of `arrays`, with the `max`
+    aggregator's gathers that are built (all of them, with
+    `build_gathers`)."""
+    plan = arrays.plan
+    for step in [s for layer in plan.last for s in layer.values()] \
+            + list((plan.rest or {}).values()):
+        yield step.place
+        for op in step.operators:
+            if isinstance(op, SourceProjection):
+                yield op.spread
+                continue
+            yield op
+            if build_gathers or "gather" in vars(op):
+                yield op.gather
+
+
+def build_transposes(arrays):
+    """Build every transpose of `arrays` now, as `prepare_graph` did before
+    transposes were built on first use; returns `arrays`."""
+    for op in sparse_operators(arrays, build_gathers=True):
+        op.transpose
+    return arrays
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_logits_equal_without_tape(aggregator, num_layers):
+    prepared, every_row, params, config = synth_setup(aggregator, num_layers)
+    for arrays in prepared + every_row:
+        _, logits = forward_prepared(arrays, params, config)
+        with T.no_grad():
+            _, untaped = forward_prepared(arrays, params, config)
+        assert logits._backward is not None and untaped._backward is None
+        assert np.array_equal(untaped.data, logits.data)
+
+
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_forward_only_scoring_builds_no_transpose(aggregator):
+    prepared, every_row, params, config = synth_setup(aggregator)
+    predict_flows(prepared + every_row, params, config)
+    ops = [op for arrays in prepared + every_row
+           for op in sparse_operators(arrays)]
+    assert not any("transpose" in vars(op) for op in ops)
+    gathers = sum(isinstance(op, EdgeOperator) and "gather" in vars(op)
+                  for op in ops)
+    assert (gathers > 0) == (aggregator == "max")
+
+
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_lazy_transposes_sum_in_index_order_and_match_eager_gradients(
+        aggregator):
+    prepared, _, params, config = synth_setup(aggregator)
+    for arrays in prepared:
+        lazy = logits_and_grads(arrays, params, config)
+        assert any("transpose" in vars(op) for op in sparse_operators(arrays))
+        for op in sparse_operators(arrays, build_gathers=True):
+            t = op.transpose
+            assert t.shape == op.shape[::-1]
+            for r in range(t.shape[0]):
+                assert np.array_equal(t.indices[t.indptr[r]:t.indptr[r + 1]],
+                                      op.row[op.col == r])
+        eager = build_transposes(replace(arrays, plan=model.message_plan(
+            arrays.edges, arrays.num_nodes, arrays.target_rows,
+            config.num_layers)))
+        logits, grads = logits_and_grads(eager, params, config)
+        assert np.array_equal(logits, lazy[0])
+        for name, g in grads.items():
+            assert np.array_equal(g, lazy[1][name]), name
 
 
 SMALL_GC = GraphBuildConfig(flow_encoding_dim=2, window_encoding_dim=2)

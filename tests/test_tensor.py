@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowgnn import tensor as T
 from flowgnn.model import edge_operator, row_gather
+import reference_ops
 from reference_ops import (SEGMENT_REDUCERS, concat_cols, gather_rows,
                            put_rows, segment_mean)
 from flowgnn.tensor import AdamState, Rng, Tensor, adam_step
@@ -269,6 +270,72 @@ class TestAdam:
         p = Tensor(np.array([[0.0]]))
         adam_step({"p": p}, {"p": np.ones((1, 1))}, state)
         assert p.data[0, 0] == pytest.approx(-lr, rel=1e-6)
+
+    def test_bitwise_equal_to_reference_update(self):
+        rng = Rng(25)
+        shapes = {"w": (4, 3), "b": (3,), "late": (2, 5), "never": (3, 3)}
+        start = {name: rng.normal(shape) for name, shape in shapes.items()}
+        params = {name: Tensor(x.copy()) for name, x in start.items()}
+        ref_params = {name: Tensor(x.copy()) for name, x in start.items()}
+        state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+        for step in range(6):
+            # `late` gets its first gradient at step 3, `b` none at step 4
+            grads = {name: rng.normal(shape) for name, shape in shapes.items()
+                     if name != "never" and (name != "late" or step >= 3)
+                     and (name != "b" or step != 4)}
+            adam_step(params, grads, state)
+            reference_ops.adam_step(ref_params, grads, ref_state)
+            for name in shapes:
+                assert np.array_equal(params[name].data, ref_params[name].data)
+            for name in state.m:
+                assert np.array_equal(state.m[name], ref_state.m[name])
+                assert np.array_equal(state.v[name], ref_state.v[name])
+        assert np.array_equal(params["never"].data, start["never"])
+        assert "never" not in state.m
+
+
+class TestNoGrad:
+    def test_values_equal_and_no_tape_kept(self):
+        x = rand_tensor(Rng(26), (5, 4))
+        w = rand_tensor(Rng(27), (4, 3))
+
+        def forward():
+            h = T.leaky_relu(T.matmul(x, w))
+            return T.segment_max(h, np.array([0, 1, 1, 0, 2]), 3)
+
+        taped = forward()
+        with T.no_grad():
+            untaped = forward()
+        assert np.array_equal(untaped.data, taped.data)
+        assert taped._parents and taped._backward is not None
+        assert untaped._parents == () and untaped._backward is None
+
+    def test_backward_raises_inside_the_block(self):
+        x = Tensor(np.ones((2, 2)))
+        loss = T.sum_all(T.scale(x, 2.0))
+        with T.no_grad():
+            with pytest.raises(ValueError, match="no_grad"):
+                loss.backward()
+        loss.backward()
+        assert np.array_equal(x.grad, np.full((2, 2), 2.0))
+
+    def test_recording_comes_back_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        x = Tensor(np.ones((1, 1)))
+        y = T.scale(x, 3.0)
+        assert y._parents == (x,)
+        T.sum_all(y).backward()
+        assert x.grad[0, 0] == 3.0
+
+    def test_nested_blocks_restore_the_outer_mode(self):
+        x = Tensor(np.ones((1, 1)))
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.scale(x, 2.0)._parents == ()
+        assert T.scale(x, 2.0)._parents == (x,)
 
 
 class TestRng:

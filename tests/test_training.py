@@ -1,4 +1,7 @@
+import contextlib
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from flowgnn import training
 from flowgnn.experiments import (FewShotPlan, ablation_suite, fewshot,
                                  prepare_splits, select_fraction,
                                  undersample_order)
-from flowgnn.ingest import UNLABELED, encode_flows, fit_codec
+from flowgnn.ingest import UNLABELED, encode_flows, fit_codec, label_records
 from flowgnn.metrics import f1_scores
 from flowgnn.model import ModelConfig, copy_params, init_params, prepare_graph
 from flowgnn.synth import (feature_pattern, temporal_pattern,
@@ -20,6 +23,7 @@ from flowgnn.training import (EmptyDataError, TrainConfig, chronological_split,
                               predict_flows, train)
 from flowgnn.windows import GraphBuildConfig, build_temporal_graphs
 from reference_ops import mul_const
+from test_message_passing import build_transposes
 
 GC = GraphBuildConfig(window_size=5.0, window_memory=2)
 
@@ -262,6 +266,100 @@ class TestEvaluate:
         with pytest.raises(EmptyDataError, match="no target flows"):
             evaluate(params, graphs, LabelVocabulary(("Benign", "X")),
                      {0: UNLABELED}, config, GC)
+
+
+GENERATED = {
+    "temporal": lambda: temporal_pattern(n_windows=8, sources_per_window=3,
+                                         burst_len=4, seed=4),
+    "feature": lambda: feature_pattern(n_flows=60, seed=2),
+    "topology": lambda: topology_pattern(n_windows=6, seed=5),
+}
+
+
+def assert_same_report(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+
+class TestNoTape:
+    """Forward-only scoring records no tape and gives the taped results."""
+
+    @pytest.mark.parametrize("generator", sorted(GENERATED))
+    @pytest.mark.parametrize("aggregator", ["sum", "max"])
+    def test_predictions_and_reports_equal_with_the_tape_on(
+            self, monkeypatch, generator, aggregator):
+        data, config = prepared_dataset(GENERATED[generator](),
+                                        neighbor_aggregator=aggregator)
+        params = init_params(config, data.codec.feature_dim, GC, Rng(6))
+        prepared = [prepare_graph(g, GC, config.num_layers)
+                    for g in data.test_graphs]
+        tapes = []
+        forward = training.forward_prepared
+
+        def recording(arrays, p, cfg):
+            flow_ids, logits = forward(arrays, p, cfg)
+            tapes.append(logits._backward is not None)
+            return flow_ids, logits
+
+        monkeypatch.setattr(training, "forward_prepared", recording)
+        preds = predict_flows(prepared, params, config)
+        report = evaluate(params, data.test_graphs, data.vocab, data.labels,
+                          config, GC)
+        assert tapes and not any(tapes)
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        tapes.clear()
+        assert predict_flows(prepared, params, config) == preds
+        assert_same_report(evaluate(params, data.test_graphs, data.vocab,
+                                    data.labels, config, GC), report)
+        assert tapes and all(tapes)
+
+    @pytest.mark.parametrize("aggregator", ["sum", "mean", "max"])
+    def test_training_on_lazy_transposes_matches_eager_ones(self, monkeypatch,
+                                                            aggregator):
+        data, config = prepared_dataset(GENERATED["temporal"](),
+                                        neighbor_aggregator=aggregator)
+
+        def run():
+            params = init_params(config, data.codec.feature_dim, GC, Rng(7))
+            return train(data.train_graphs, data.val_graphs, data.labels,
+                         params, TrainConfig(epochs=3, lr=0.01, seed=7),
+                         config, GC)
+
+        lazy = run()
+        monkeypatch.setattr(training, "prepare_graph",
+                            lambda *args: build_transposes(prepare_graph(*args)))
+        eager = run()
+        assert lazy.log == eager.log
+        for name, p in lazy.params.items():
+            assert np.array_equal(p.data, eager.params[name].data), name
+
+    def test_evaluate_peak_is_below_half_of_the_taped_peak(self, monkeypatch):
+        gc = GraphBuildConfig(window_size=5.0, window_memory=5)
+        records = temporal_pattern(n_windows=8, sources_per_window=3,
+                                   burst_len=10, seed=3)
+        vocab = vocabulary_for(records)
+        codec = fit_codec(records)
+        graphs = build_temporal_graphs(records, gc, encode_flows(records, codec))
+        labels = {r.flow_id: r.label for r in label_records(records, vocab)}
+        config = small_model(num_classes=vocab.num_classes, hidden_size=32,
+                             classifier_hidden=32)
+        params = init_params(config, codec.feature_dim, gc, Rng(1))
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                report = evaluate(params, graphs, vocab, labels, config, gc)
+                return tracemalloc.get_traced_memory()[1], report
+            finally:
+                tracemalloc.stop()
+
+        evaluate(params, graphs, vocab, labels, config, gc)   # imports scipy
+        untaped, report = traced_peak()
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        taped, taped_report = traced_peak()
+        assert_same_report(report, taped_report)
+        assert untaped < taped / 2, (untaped, taped)
 
 
 class TestMlpBaseline:
