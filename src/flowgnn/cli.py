@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .experiments import (ExperimentData, FewShotPlan, ablation_suite,
@@ -26,7 +26,8 @@ from .ingest import (FeatureCodec, NUMERIC_FEATURES, SchemaError,
 from .model import (CompatibilityError, ModelConfig, build_metadata,
                     config_from_items, config_items, configs_from_metadata,
                     init_params, load_checkpoint, save_checkpoint)
-from .pretrain import PretrainCorpus, pretrain, transfer_weights
+from .pretrain import (PRETRAIN_MODES, PretrainConfig, PretrainCorpus,
+                       pretrain, transfer_weights)
 from .reports import (run_id_for, write_ablation_csv, write_epoch_log_csv,
                       write_fewshot_csv, write_fewshot_timing_csv,
                       write_report_files, write_timing_csv)
@@ -39,6 +40,21 @@ EXIT_USAGE = 2
 EXIT_COMPAT = 3
 EXIT_EMPTY = 4
 
+
+@dataclass(frozen=True)
+class FinetuneConfig:
+    """The `finetune.*` keys: the `train.*` values fine-tuning replaces."""
+
+    epochs: int = 50
+    lr: float = 0.01
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+
+
 #: fields set from the data (class count) or the top-level `seed` key
 #: rather than from a key of their own
 _NOT_KEYS = ("model.num_classes", "train.seed")
@@ -48,17 +64,12 @@ DEFAULTS = {
     **{key: value
        for prefix, cfg in (("graph", GraphBuildConfig()),
                            ("model", ModelConfig(num_classes=2)),
-                           ("train", TrainConfig()))
+                           ("train", TrainConfig()),
+                           ("pretrain", PretrainConfig()),
+                           ("finetune", FinetuneConfig()),
+                           ("fewshot", FewShotPlan()))
        for key, value in config_items(prefix, cfg).items()
        if key not in _NOT_KEYS},
-    "pretrain.epochs": "50",
-    "pretrain.lr": "0.0001",
-    "pretrain.negative_ratio": "1.0",
-    "finetune.epochs": "50",
-    "finetune.lr": "0.01",
-    "fewshot.fractions": "0.05,0.1,0.2,0.5",
-    "fewshot.modes": "in-context,out-of-context,none",
-    "fewshot.reference_score": "0",
 }
 
 
@@ -96,21 +107,9 @@ class RunConfig:
         lines = [f"{k} = {self.provenance[k]}" for k in sorted(self.values)]
         return "\n".join(lines) + "\n"
 
-    def get_int(self, key: str) -> int:
-        return int(self.values[key])
-
-    def get_float(self, key: str) -> float:
-        return float(self.values[key])
-
-    def get_floats(self, key: str) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.values[key].split(",") if x)
-
-    def get_strs(self, key: str) -> tuple[str, ...]:
-        return tuple(x.strip() for x in self.values[key].split(",") if x.strip())
-
     @property
     def seed(self) -> int:
-        return self.get_int("seed")
+        return int(self.values["seed"])
 
     def graph_config(self) -> GraphBuildConfig:
         return config_from_items(GraphBuildConfig, "graph", self.values)
@@ -125,9 +124,15 @@ class RunConfig:
 
     def finetune_config(self) -> TrainConfig:
         """`train.*` with `finetune.epochs` and `finetune.lr` replaced in."""
-        return replace(self.train_config(),
-                       epochs=self.get_int("finetune.epochs"),
-                       lr=self.get_float("finetune.lr"))
+        finetune = config_from_items(FinetuneConfig, "finetune", self.values)
+        return replace(self.train_config(), epochs=finetune.epochs,
+                       lr=finetune.lr)
+
+    def pretrain_config(self) -> PretrainConfig:
+        return config_from_items(PretrainConfig, "pretrain", self.values)
+
+    def fewshot_plan(self) -> FewShotPlan:
+        return config_from_items(FewShotPlan, "fewshot", self.values)
 
 
 def resolve_config(config_path: str | None, overrides: dict,
@@ -208,10 +213,10 @@ def _neutral_codec(protocol_vocab: tuple[int, ...]) -> FeatureCodec:
                         tuple(protocol_vocab))
 
 
-def _pretrain_from(config: RunConfig, mode: str, target: str | None,
-                   datasets, model_config: ModelConfig,
+def _pretrain_from(pretrain_config: PretrainConfig, seed: int, mode: str,
+                   target: str | None, datasets, model_config: ModelConfig,
                    graph_config: GraphBuildConfig, protocol_vocab):
-    """Link-prediction pre-training with the `pretrain.*` keys on the
+    """Link-prediction pre-training with `pretrain_config` on the
     label-stripped graphs of `datasets`, (id, cache path, records) triples,
     each encoded by its own codec with the shared `protocol_vocab`.
 
@@ -227,10 +232,7 @@ def _pretrain_from(config: RunConfig, mode: str, target: str | None,
                                             encode_flows(recs, codec)))
     result = pretrain(corpus, graphs, model_config, graph_config,
                       _neutral_codec(protocol_vocab).feature_dim,
-                      epochs=config.get_int("pretrain.epochs"),
-                      lr=config.get_float("pretrain.lr"),
-                      negative_ratio=config.get_float("pretrain.negative_ratio"),
-                      seed=config.seed)
+                      **asdict(pretrain_config), seed=seed)
     return corpus, len(graphs), result
 
 
@@ -248,8 +250,8 @@ def cmd_pretrain(args) -> int:
     graph_config = config.graph_config()
     model_config = config.model_config(num_classes=2)
     corpus, n_graphs, result = _pretrain_from(
-        config, args.mode, args.target_dataset, datasets, model_config,
-        graph_config, protocol_vocab)
+        config.pretrain_config(), config.seed, args.mode, args.target_dataset,
+        datasets, model_config, graph_config, protocol_vocab)
     metadata = build_metadata(model_config, graph_config,
                               _neutral_codec(protocol_vocab),
                               LabelVocabulary(("Benign",)), extra={
@@ -383,10 +385,7 @@ def cmd_ablate(args) -> int:
     train_config = config.train_config()
     data = prepare_splits(records, vocab, graph_config, train_config.split)
     results = ablation_suite(data, model_config, graph_config, train_config,
-                             pretrain_epochs=config.get_int("pretrain.epochs"),
-                             pretrain_lr=config.get_float("pretrain.lr"),
-                             negative_ratio=config.get_float(
-                                 "pretrain.negative_ratio"))
+                             config.pretrain_config())
     out_dir = Path(args.out_dir)
     _echo_config(config, out_dir, run_id)
     write_ablation_csv(results, out_dir / f"ablation-{run_id}.csv")
@@ -408,33 +407,31 @@ def cmd_fewshot(args) -> int:
     graph_config = config.graph_config()
     model_config = config.model_config(max(2, vocab.num_classes))
     train_config = config.train_config()
-    modes = config.get_strs("fewshot.modes")
+    finetune_config = config.finetune_config()
+    pretrain_config = config.pretrain_config()
+    plan = config.fewshot_plan()
 
+    target = (Path(args.cache).stem, args.cache, records)
     ooc_datasets = [(Path(p).stem, p, read_flow_cache(p))
                     for p in args.pretrain_cache or []]
-    if "out-of-context" in modes and not ooc_datasets:
+    if "out-of-context" in plan.modes and not ooc_datasets:
         raise ValueError("out-of-context mode requires --pretrain-cache")
-    protocols = {r.protocol for r in records}
-    for _, _, recs in ooc_datasets:
-        protocols |= {r.protocol for r in recs}
-    protocol_vocab = tuple(sorted(protocols))
+    protocol_vocab = tuple(sorted({r.protocol for _, _, recs in
+                                   [target, *ooc_datasets] for r in recs}))
     data = prepare_splits(records, vocab, graph_config, train_config.split,
                           protocol_vocab=protocol_vocab)
     feature_dim = data.codec.feature_dim
 
-    target_id = Path(args.cache).stem
     # in-context: the target network's own unlabeled traffic
-    corpora = {"in-context": [(target_id, args.cache, records)],
-               "out-of-context": ooc_datasets}
+    corpora = {"in-context": [target], "out-of-context": ooc_datasets}
     bases: dict[str, dict | None] = {"none": None}
     for mode, datasets in corpora.items():
-        if mode in modes:
-            bases[mode] = _pretrain_from(config, mode, target_id, datasets,
-                                         model_config, graph_config,
-                                         protocol_vocab)[2].params
+        if mode in plan.modes:
+            bases[mode] = _pretrain_from(pretrain_config, config.seed, mode,
+                                         target[0], datasets, model_config,
+                                         graph_config, protocol_vocab)[2].params
 
-    reference = config.get_float("fewshot.reference_score")
-    if reference <= 0:
+    if plan.reference_score == 0:
         params = init_params(model_config, feature_dim, graph_config,
                              Rng(config.seed).child("reference"))
         result = train(data.train_graphs, data.val_graphs, data.labels,
@@ -443,12 +440,10 @@ def cmd_fewshot(args) -> int:
                              data.labels, model_config,
                              graph_config).multiclass_macro_f1
         print(f"computed reference macro F1 {reference:.4f} from scratch run")
+        plan = replace(plan, reference_score=reference)
 
-    plan = FewShotPlan(reference_score=reference,
-                       train=config.finetune_config(),
-                       fractions=config.get_floats("fewshot.fractions"),
-                       modes=modes)
-    rows = fewshot(plan, bases, data, model_config, graph_config, config.seed)
+    rows = fewshot(plan, bases, data, model_config, graph_config,
+                   finetune_config, config.seed)
     out_dir = Path(args.out_dir)
     _echo_config(config, out_dir, run_id)
     write_fewshot_csv(rows, out_dir / f"fewshot-{run_id}.csv")
@@ -469,12 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sliding-window flow-graph GNN pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
+        p.add_argument("--out-dir", required=True)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, default=None,
                        help="seed (overrides config and PPT_SEED)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("ingest", help="CSV -> binary flow cache")
     p.add_argument("--input", required=True)
@@ -485,46 +482,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="self-supervised link prediction")
     p.add_argument("--cache", action="append", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--mode", choices=("in-context", "out-of-context"),
-                   default="in-context")
+    p.add_argument("--mode", choices=PRETRAIN_MODES, default="in-context")
     p.add_argument("--target-dataset", default=None)
-    common(p)
-    p.set_defaults(func=cmd_pretrain)
+    common(p, cmd_pretrain)
 
     p = sub.add_parser("train", help="supervised training from scratch")
     p.add_argument("--cache", required=True)
-    p.add_argument("--out-dir", required=True)
-    common(p)
-    p.set_defaults(func=cmd_train)
+    common(p, cmd_train)
 
     p = sub.add_parser("finetune", help="fine-tune from a checkpoint")
     p.add_argument("--from-checkpoint", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--out-dir", required=True)
-    common(p)
-    p.set_defaults(func=cmd_finetune)
+    common(p, cmd_finetune)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a cache")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--out-dir", required=True)
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
+    common(p, cmd_evaluate)
 
     p = sub.add_parser("ablate", help="spatial-only / temporal / pretrained")
     p.add_argument("--cache", required=True)
-    p.add_argument("--out-dir", required=True)
-    common(p)
-    p.set_defaults(func=cmd_ablate)
+    common(p, cmd_ablate)
 
     p = sub.add_parser("fewshot", help="few-shot fine-tuning protocol")
     p.add_argument("--cache", required=True)
-    p.add_argument("--out-dir", required=True)
     p.add_argument("--pretrain-cache", action="append",
                    help="out-of-context corpus cache (repeatable)")
-    common(p)
-    p.set_defaults(func=cmd_fewshot)
+    common(p, cmd_fewshot)
     return parser
 
 

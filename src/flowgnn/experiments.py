@@ -5,7 +5,7 @@ few-shot fine-tuning protocol with class-balanced temporal undersampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -14,14 +14,15 @@ from .ingest import (FeatureCodec, FlowRecord, LabelVocabulary, UNLABELED,
                      encode_flows, fit_codec)
 from .metrics import MetricsReport
 from .model import ModelConfig, init_params
-from .pretrain import pretrain, PretrainCorpus, transfer_weights
+from .pretrain import (PRETRAIN_MODES, PretrainConfig, PretrainCorpus,
+                       pretrain, transfer_weights)
 from .tensor import Rng
 from .training import (EmptyDataError, TrainConfig, chronological_split,
                        evaluate, train)
 from .windows import (GraphBuildConfig, TemporalGraph, build_temporal_graphs,
                       strip_temporal_edges)
 
-FEWSHOT_MODES = ("in-context", "out-of-context", "none")
+FEWSHOT_MODES = (*PRETRAIN_MODES, "none")
 
 
 @dataclass
@@ -77,8 +78,7 @@ def prepare_splits(records: Sequence[FlowRecord], vocab: LabelVocabulary,
 
 def ablation_suite(data: ExperimentData, model_config: ModelConfig,
                    graph_config: GraphBuildConfig, train_config: TrainConfig,
-                   pretrain_epochs: int, pretrain_lr: float,
-                   negative_ratio: float) \
+                   pretrain_config: PretrainConfig) \
         -> list[tuple[str, MetricsReport]]:
     """Three runs on identical seeds and splits: (a) spatial-only graphs,
     (b) full temporal graphs, (c) temporal graphs fine-tuned from an
@@ -105,8 +105,8 @@ def ablation_suite(data: ExperimentData, model_config: ModelConfig,
     corpus = PretrainCorpus(datasets=(("target", "<in-memory>"),),
                             mode="in-context", target_dataset="target")
     pre = pretrain(corpus, data.train_graphs, model_config, graph_config,
-                   feature_dim, epochs=pretrain_epochs, lr=pretrain_lr,
-                   negative_ratio=negative_ratio, seed=train_config.seed)
+                   feature_dim, seed=train_config.seed,
+                   **asdict(pretrain_config))
     transferred = transfer_weights(pre.params, model_config, graph_config,
                                    feature_dim,
                                    Rng(train_config.seed).child("ablation"))
@@ -217,29 +217,31 @@ def select_fraction(order: Sequence[int], graphs: Sequence[TemporalGraph],
 
 @dataclass(frozen=True)
 class FewShotPlan:
-    """Fine-tune with `train` at each labeled fraction in each mode."""
+    """The `fewshot.*` keys: fine-tune at each labeled fraction in each
+    mode; `reference_score` 0 means "compute it from a scratch run"."""
 
-    reference_score: float
-    train: TrainConfig
-    fractions: tuple[float, ...]
-    modes: tuple[str, ...]
+    fractions: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5)
+    modes: tuple[str, ...] = FEWSHOT_MODES
+    reference_score: float = 0  # an int, so that it renders as `0`
 
     def __post_init__(self):
         if not all(0 < f <= 1 for f in self.fractions):
             raise ValueError("fractions must lie in (0, 1]")
-        if self.reference_score <= 0:
-            raise ValueError("reference_score must be positive")
-        for mode in self.modes:
-            if mode not in FEWSHOT_MODES:
-                raise ValueError(f"unknown pretrain mode {mode!r}")
+        if not set(self.modes) <= set(FEWSHOT_MODES):
+            raise ValueError(f"modes must be drawn from {FEWSHOT_MODES}")
+        if self.reference_score < 0:
+            raise ValueError("reference_score must be >= 0")
 
 
 def fewshot(plan: FewShotPlan, bases: Mapping[str, Mapping | None],
             data: ExperimentData, model_config: ModelConfig,
-            graph_config: GraphBuildConfig, seed: int = 0) -> list[dict]:
-    """Fine-tune on undersampled training windows for every
-    (fraction, pre-training mode) pair; report the percentual macro-F1 loss
-    against the reference score plus wall-clock training time."""
+            graph_config: GraphBuildConfig, train_config: TrainConfig,
+            seed: int = 0) -> list[dict]:
+    """Fine-tune with `train_config` on undersampled training windows for
+    every (fraction, pre-training mode) pair; report the macro-F1 loss in
+    percent of the plan's reference score (> 0) and the training time."""
+    if plan.reference_score <= 0:
+        raise ValueError("fewshot needs a positive reference score")
     order = undersample_order(data.train_graphs, data.labels,
                               model_config.num_classes)
     feature_dim = data.codec.feature_dim
@@ -260,7 +262,7 @@ def fewshot(plan: FewShotPlan, bases: Mapping[str, Mapping | None],
                 params = transfer_weights(base, model_config, graph_config,
                                           feature_dim, rng)
             result = train(train_graphs, data.val_graphs, data.labels, params,
-                           plan.train, model_config, graph_config)
+                           train_config, model_config, graph_config)
             report = evaluate(result.params, data.test_graphs, data.vocab,
                               data.labels, model_config, graph_config,
                               result.seconds)

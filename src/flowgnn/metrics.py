@@ -10,7 +10,7 @@ column by its sum (normalization over model predictions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class MetricsReport:
     confusion: np.ndarray
     confusion_normalized: np.ndarray
     train_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
 
 
 def confusion_matrix(y_true, y_pred, num_classes: int) -> np.ndarray:

@@ -83,7 +83,8 @@ class ModelConfig:
             raise ValueError(f"neighbor_aggregator must be one of "
                              f"{NEIGHBOR_AGGREGATORS}")
         if self.activation not in T.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation must be one of "
+                             f"{tuple(T.ACTIVATIONS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +624,12 @@ def _parse_config_text(key: str, text: str, kind):
         return tuple(_parse_config_text(key, x.strip(), item)
                      for x in text.split(",") if x.strip())
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValueError(f"{key} must be {kind.__name__}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 def config_items(prefix: str, cfg) -> dict[str, str]:
@@ -638,7 +642,8 @@ def config_items(prefix: str, cfg) -> dict[str, str]:
 def config_from_items(cls, prefix: str, items: Mapping[str, str], **given):
     """Inverse of `config_items`: each field not in `given` is parsed from
     its `prefix.field` item by its declared type. Other items are ignored;
-    a missing one raises CompatibilityError naming the key."""
+    a missing one raises CompatibilityError naming the key. A range check
+    of `cls` (its message starts with the field name) gets `prefix.`."""
     hints = typing.get_type_hints(cls)
     values = dict(given)
     for f in fields(cls):
@@ -648,7 +653,10 @@ def config_from_items(cls, prefix: str, items: Mapping[str, str], **given):
         if key not in items:
             raise CompatibilityError(f"missing config key {key!r}")
         values[f.name] = _parse_config_text(key, items[key], hints[f.name])
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}.{exc}") from None
 
 
 def save_checkpoint(params: Mapping[str, Tensor], metadata: Mapping[str, str],

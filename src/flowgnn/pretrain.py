@@ -23,14 +23,31 @@ import numpy as np
 
 from . import tensor as T
 from .model import (CompatibilityError, ENDPOINT_KINDS, GraphArrays,
-                    ModelConfig, final_states, init_params, prepare_graph,
-                    row_gather, trunk_names)
+                    ModelConfig, _linear_params, final_states, init_params,
+                    prepare_graph, row_gather, trunk_names)
 from .tensor import Tensor
 from .training import FitResult, fit
 from .windows import (ALL_EDGE_TYPES, GraphBuildConfig, INTER_EDGE_TYPES,
                       TemporalGraph)
 
 PRETRAIN_MODES = ("in-context", "out-of-context")
+
+
+@dataclass(frozen=True)
+class PretrainConfig:
+    """The `pretrain.*` keys of link-prediction pre-training."""
+
+    epochs: int = 50
+    lr: float = 0.0001
+    negative_ratio: float = 1.0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.negative_ratio < 0:
+            raise ValueError("negative_ratio must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,8 +89,8 @@ class PretrainCorpus:
         return "\n".join(lines) + "\n"
 
 
-def sample_negatives(arrays: GraphArrays, ratio: float, rng: T.Rng,
-                     max_attempts: int = 100) -> LinkPredTask:
+def sample_negatives(arrays: GraphArrays, ratio: float,
+                     rng: T.Rng) -> LinkPredTask:
     """Sample floor(ratio * |positives|) negatives per edge type.
 
     Each negative starts from a positive edge drawn uniformly and replaces
@@ -82,12 +99,11 @@ def sample_negatives(arrays: GraphArrays, ratio: float, rng: T.Rng,
     window for a source and any later window for a destination (inter
     types). Those nodes are one contiguous row range of `arrays`, never
     empty because it holds the replaced endpoint itself. Every pending
-    negative of a type draws its side and candidate at once, in up to
-    `max_attempts` rounds. A round rejects self-loops, candidates already
-    positive or already accepted, and all but the first of equal
-    candidates; rejected negatives keep their base edge and draw again next
-    round. Negatives still pending after the last round are counted in
-    `shortfall[etype]`.
+    negative of a type draws its side and candidate at once, in up to 100
+    rounds. A round rejects self-loops, candidates already positive or
+    already accepted, and all but the first of equal candidates; rejected
+    negatives keep their base edge and draw again next round. Negatives
+    still pending after the last round are counted in `shortfall[etype]`.
     """
     n = arrays.num_nodes
     positives: dict = {}
@@ -100,7 +116,7 @@ def sample_negatives(arrays: GraphArrays, ratio: float, rng: T.Rng,
         neg = np.stack([src[base], dst[base]])     # rows: sources, destinations
         done = np.zeros(len(base), dtype=bool)
         taken = src * n + dst                       # pair keys already used
-        for _ in range(max_attempts):
+        for _ in range(100):
             todo = np.flatnonzero(~done)
             if len(todo) == 0:
                 break
@@ -151,12 +167,8 @@ def init_scorer_params(model_config: ModelConfig, rng: T.Rng) -> dict[str, Tenso
     params: dict[str, Tensor] = {}
     for etype in ALL_EDGE_TYPES:
         r = rng.child(f"scorer.{etype}")
-        lim0 = np.sqrt(6.0 / (2 * h + mid))
-        lim1 = np.sqrt(6.0 / (mid + 1))
-        params[f"scorer.{etype}.0.W"] = Tensor(r.child("0").uniform(-lim0, lim0, (2 * h, mid)))
-        params[f"scorer.{etype}.0.b"] = Tensor(np.zeros(mid))
-        params[f"scorer.{etype}.1.W"] = Tensor(r.child("1").uniform(-lim1, lim1, (mid, 1)))
-        params[f"scorer.{etype}.1.b"] = Tensor(np.zeros(1))
+        _linear_params(r.child("0"), f"scorer.{etype}.0", 2 * h, mid, params)
+        _linear_params(r.child("1"), f"scorer.{etype}.1", mid, 1, params)
     return params
 
 

@@ -205,14 +205,14 @@ def stack_affine(parts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
                   backward=bw)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    """max(x, slope*x) elementwise, for 0 <= slope <= 1; subgradient
-    `slope` at the kink."""
+def leaky_relu(x: Tensor) -> Tensor:
+    """max(x, slope*x) elementwise, for slope 0.01; subgradient `slope` at
+    the kink."""
 
     def bw(g):
-        x._accum(g * np.where(x.data > 0, 1.0, slope))
+        x._accum(g * np.where(x.data > 0, 1.0, 0.01))
 
-    out = slope * x.data
+    out = 0.01 * x.data
     return Tensor(np.maximum(x.data, out, out=out), parents=(x,), backward=bw)
 
 
@@ -358,9 +358,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     return Tensor(total / denom, parents=(logits,), backward=bw)
 
 
-def binary_cross_entropy(logits: Tensor, targets: np.ndarray,
-                         reduction: str = "mean") -> Tensor:
-    """Sigmoid BCE from logits, stabilized via the log-sum-exp identity."""
+def binary_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean sigmoid BCE from logits, stabilized via the log-sum-exp
+    identity."""
     t = np.asarray(targets, dtype=np.float64).reshape(-1)
     z = logits.data.reshape(-1)
     if z.shape != t.shape:
@@ -368,9 +368,7 @@ def binary_cross_entropy(logits: Tensor, targets: np.ndarray,
     n = z.shape[0]
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     total = float(per.sum())
-    denom = float(n) if reduction == "mean" else 1.0
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
+    denom = float(n)
 
     def bw(g):
         sig = 1.0 / (1.0 + np.exp(-z))

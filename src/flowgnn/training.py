@@ -22,8 +22,8 @@ from . import tensor as T
 from .ingest import (FeatureCodec, FlowRecord, LabelVocabulary, UNLABELED,
                      encode_flow)
 from .metrics import MetricsReport, build_report, f1_scores
-from .model import (GraphArrays, ModelConfig, copy_params, forward_prepared,
-                    prepare_graph)
+from .model import (GraphArrays, ModelConfig, _linear_params, copy_params,
+                    forward_prepared, prepare_graph)
 from .tensor import AdamState, Tensor, adam_step, zero_grads
 from .windows import GraphBuildConfig, TemporalGraph
 
@@ -42,13 +42,16 @@ class TrainConfig:
     split: tuple[float, float, float] = (0.7, 0.15, 0.15)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if len(self.split) != 3 or any(r < 0 for r in self.split) \
                 or abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValueError("split ratios must be non-negative and sum to 1")
+            raise ValueError("split must be three non-negative ratios that "
+                             "sum to 1")
 
 
 def chronological_split(flows: Sequence[FlowRecord],
@@ -255,10 +258,9 @@ def mlp_baseline(train_flows: Sequence[FlowRecord],
                  val_flows: Sequence[FlowRecord],
                  test_flows: Sequence[FlowRecord],
                  codec: FeatureCodec, vocab: LabelVocabulary,
-                 config: TrainConfig,
-                 hidden: int = 128) -> MetricsReport:
-    """Two-layer perceptron on encoded flow features alone, trained with
-    the same loss/selection protocol as the graph model."""
+                 config: TrainConfig) -> MetricsReport:
+    """Two-layer perceptron, 128 hidden units, on encoded flow features
+    alone, trained with the graph model's loss/selection protocol."""
 
     def encode_split(flows):
         rows = [(encode_flow(f, codec), f.label) for f in flows
@@ -279,16 +281,9 @@ def mlp_baseline(train_flows: Sequence[FlowRecord],
 
     num_classes = vocab.num_classes
     rng = T.Rng(config.seed).child("mlp")
-    lim0 = np.sqrt(6.0 / (codec.feature_dim + hidden))
-    lim1 = np.sqrt(6.0 / (hidden + num_classes))
-    params = {
-        "mlp.0.W": Tensor(rng.child("0").uniform(-lim0, lim0,
-                                                 (codec.feature_dim, hidden))),
-        "mlp.0.b": Tensor(np.zeros(hidden)),
-        "mlp.1.W": Tensor(rng.child("1").uniform(-lim1, lim1,
-                                                 (hidden, num_classes))),
-        "mlp.1.b": Tensor(np.zeros(num_classes)),
-    }
+    params: dict[str, Tensor] = {}
+    _linear_params(rng.child("0"), "mlp.0", codec.feature_dim, 128, params)
+    _linear_params(rng.child("1"), "mlp.1", 128, num_classes, params)
     weights = class_weights(y_train, num_classes) if config.weighted_loss else None
 
     def steps(epoch):

@@ -194,17 +194,39 @@ class TestConfigResolution:
         assert "finetune.lr = default" in provenance
         assert "finetune.lr = 0.01" in text
 
-    @pytest.mark.parametrize("setting", [
-        pytest.param("nope.key=1", id="unknown-key"),
-        pytest.param("train.split=0.5,0.5", id="short-split"),
-        pytest.param("train.batch_size=x", id="non-integer"),
-        pytest.param("model.neighbor_aggregator=median", id="bad-choice"),
-        pytest.param("model.num_layers=x", id="non-integer-model"),
+    @pytest.mark.parametrize("command,setting", [
+        pytest.param("train", "nope.key=1", id="unknown-key"),
+        pytest.param("train", "train.split=0.5,0.5", id="short-split"),
+        pytest.param("train", "train.batch_size=x", id="non-integer"),
+        pytest.param("train", "model.neighbor_aggregator=median",
+                     id="bad-choice"),
+        pytest.param("train", "model.num_layers=x", id="non-integer-model"),
+        pytest.param("train", "train.lr=nan", id="nan-float"),
+        pytest.param("train", "train.lr=-inf", id="infinite-float"),
+        pytest.param("train", "graph.window_size=nan", id="nan-window"),
+        pytest.param("train", "train.split=nan,0.5,0.5", id="nan-tuple-item"),
+        pytest.param("pretrain", "pretrain.epochs=0", id="pretrain-epochs"),
+        pytest.param("ablate", "pretrain.epochs=0", id="ablate-epochs"),
+        pytest.param("pretrain", "pretrain.negative_ratio=inf",
+                     id="infinite-ratio"),
+        pytest.param("pretrain", "pretrain.negative_ratio=-1",
+                     id="negative-ratio"),
+        pytest.param("pretrain", "pretrain.lr=-1", id="negative-lr"),
+        pytest.param("fewshot", "finetune.epochs=0", id="finetune-epochs"),
+        pytest.param("fewshot", "fewshot.reference_score=-1",
+                     id="negative-reference"),
+        pytest.param("fewshot", "fewshot.fractions=abc", id="non-float-tuple"),
+        pytest.param("fewshot", "fewshot.modes=bogus", id="bad-mode"),
     ])
-    def test_bad_config_exit_two(self, tmp_path, cache, capsys, setting):
-        assert main(["train", "--cache", str(cache), "--out-dir",
+    def test_bad_config_exit_two(self, tmp_path, cache, capsys, command,
+                                 setting):
+        assert main([command, "--cache", str(cache), "--out-dir",
                      str(tmp_path / "o"), "--set", setting]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        key = setting.partition("=")[0]
+        assert any(line.startswith("error:") and key in line
+                   for line in err.splitlines())
 
     def test_readme_table_lists_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md") \
@@ -314,6 +336,7 @@ class TestFinetuneEvaluate:
     @pytest.mark.parametrize("key,value", [
         pytest.param("model.num_layers", "x", id="model.num_layers"),
         pytest.param("graph.window_size", "x", id="graph.window_size"),
+        pytest.param("graph.window_size", "nan", id="graph.window_size-nan"),
         pytest.param("codec.json", "{}", id="codec.json-empty"),
         pytest.param("codec.json", "{", id="codec.json-invalid"),
         pytest.param("vocab.classes", "[", id="vocab.classes-invalid"),

@@ -15,6 +15,7 @@ from flowgnn.experiments import (FewShotPlan, ablation_suite, fewshot,
 from flowgnn.ingest import UNLABELED, encode_flows, fit_codec, label_records
 from flowgnn.metrics import f1_scores
 from flowgnn.model import ModelConfig, copy_params, init_params, prepare_graph
+from flowgnn.pretrain import PretrainConfig
 from flowgnn.synth import (feature_pattern, temporal_pattern,
                            topology_pattern, vocabulary_for)
 from flowgnn.tensor import Rng, Tensor
@@ -458,8 +459,8 @@ class TestHarnesses:
         data, config = prepared_dataset(records)
         results = ablation_suite(data, config, GC,
                                  TrainConfig(epochs=3, lr=0.01, seed=1),
-                                 pretrain_epochs=2, pretrain_lr=0.0001,
-                                 negative_ratio=1.0)
+                                 PretrainConfig(epochs=2, lr=0.0001,
+                                                negative_ratio=1.0))
         assert [name for name, _ in results] == \
             ["spatial_only", "temporal", "pretrained"]
         supports = [tuple(c.support for c in r.per_class)
@@ -469,15 +470,22 @@ class TestHarnesses:
     def test_fewshot_row_per_fraction_and_mode(self):
         records = temporal_pattern(n_windows=10, seed=10)
         data, config = prepared_dataset(records)
-        plan = FewShotPlan(reference_score=0.9,
-                           train=TrainConfig(epochs=2, lr=0.01),
-                           fractions=(0.2, 0.5), modes=("none",))
-        rows = fewshot(plan, {"none": None}, data, config, GC, seed=0)
+        plan = FewShotPlan(reference_score=0.9, fractions=(0.2, 0.5),
+                           modes=("none",))
+        rows = fewshot(plan, {"none": None}, data, config, GC,
+                       TrainConfig(epochs=2, lr=0.01), seed=0)
         assert len(rows) == 2
         assert {r["fraction"] for r in rows} == {0.2, 0.5}
         for row in rows:
             assert row["pct_loss"] == pytest.approx(
                 100 * (0.9 - row["macro_f1"]) / 0.9)
+
+    def test_fewshot_requires_positive_reference_score(self):
+        records = temporal_pattern(n_windows=10, seed=10)
+        data, config = prepared_dataset(records)
+        with pytest.raises(ValueError, match="positive reference score"):
+            fewshot(FewShotPlan(modes=("none",)), {"none": None}, data,
+                    config, GC, TrainConfig(epochs=1, lr=0.01))
 
     def test_training_duration_monotone_in_epochs(self):
         records = feature_pattern(n_flows=200, seed=12)
