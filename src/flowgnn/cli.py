@@ -25,7 +25,8 @@ from .ingest import (FeatureCodec, NUMERIC_FEATURES, SchemaError,
                      LabelVocabulary, encode_flows, fit_codec)
 from .model import (CompatibilityError, ModelConfig, build_metadata,
                     config_from_items, config_items, configs_from_metadata,
-                    init_params, load_checkpoint, save_checkpoint)
+                    init_params, load_checkpoint, parse_config_text,
+                    save_checkpoint)
 from .pretrain import (PRETRAIN_MODES, PretrainConfig, PretrainCorpus,
                        pretrain, transfer_weights)
 from .reports import (run_id_for, write_ablation_csv, write_epoch_log_csv,
@@ -109,7 +110,12 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.values["seed"])
+        """The `seed` key, parsed as an int config field and checked to be
+        a 64-bit seed, since `Rng` would alias any other value to one."""
+        seed = parse_config_text("seed", self.values["seed"], int)
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        return seed
 
     def graph_config(self) -> GraphBuildConfig:
         return config_from_items(GraphBuildConfig, "graph", self.values)

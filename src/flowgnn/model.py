@@ -614,14 +614,16 @@ def _config_text(value) -> str:
     return str(value)
 
 
-def _parse_config_text(key: str, text: str, kind):
+def parse_config_text(key: str, text: str, kind):
+    """The value of config `key` from its text, by its declared type `kind`;
+    a `ValueError` names the key."""
     if kind is bool:
         if text.lower() not in ("true", "false"):
             raise ValueError(f"{key} must be true or false, got {text!r}")
         return text.lower() == "true"
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
-        return tuple(_parse_config_text(key, x.strip(), item)
+        return tuple(parse_config_text(key, x.strip(), item)
                      for x in text.split(",") if x.strip())
     try:
         value = kind(text)
@@ -652,7 +654,7 @@ def config_from_items(cls, prefix: str, items: Mapping[str, str], **given):
         key = f"{prefix}.{f.name}"
         if key not in items:
             raise CompatibilityError(f"missing config key {key!r}")
-        values[f.name] = _parse_config_text(key, items[key], hints[f.name])
+        values[f.name] = parse_config_text(key, items[key], hints[f.name])
     try:
         return cls(**values)
     except ValueError as exc:
@@ -751,14 +753,3 @@ def _parse_metadata_value(meta: Mapping[str, str], key: str, parse):
     except (ValueError, KeyError, TypeError) as exc:
         raise CompatibilityError(f"checkpoint metadata: malformed {key!r}: "
                                  f"{exc!r}") from exc
-
-
-def check_encoder_compat(params: Mapping[str, Tensor], feature_dim: int,
-                         graph_config: GraphBuildConfig) -> None:
-    expected = feature_dim + graph_config.flow_encoding_dim
-    actual = params["encoder.flow.W"].data.shape[0]
-    if actual != expected:
-        raise CompatibilityError(
-            f"encoder.flow.W expects input dim {actual} but the codec yields "
-            f"{expected} ({feature_dim} features + "
-            f"{graph_config.flow_encoding_dim} encoding)")

@@ -5,10 +5,13 @@ endpoint resampling among type-compatible nodes, rejection-sampled against
 the positive set). A per-edge-type two-layer perceptron on an edge's
 (source state || destination state), from the shared GNN trunk, scores it
 as a binary positive/negative classifier. Its first layer is split into
-source and destination halves: every node state is projected by each half
-once, and each edge gathers and adds its endpoints' projections. After
-pre-training, trunk weights transfer into a fine-tuning parameter set; the
-edge scorers are discarded and the classifier head is re-initialized.
+source and destination halves: the distinct sources of a type's edges are
+projected by the source half once, and its distinct destinations by the
+destination half. One fused op then gathers and adds each edge's endpoint
+projections, activates them and applies the second layer, keeping only the
+activated rows for the backward pass. After pre-training, trunk weights
+transfer into a fine-tuning parameter set; the edge scorers are discarded
+and the classifier head is re-initialized.
 
 The whole path is label-free: snapshots carry no labels, and corpora list
 only unlabeled flow caches.
@@ -23,8 +26,8 @@ import numpy as np
 
 from . import tensor as T
 from .model import (CompatibilityError, ENDPOINT_KINDS, GraphArrays,
-                    ModelConfig, _linear_params, final_states, init_params,
-                    prepare_graph, row_gather, trunk_names)
+                    ModelConfig, _distinct, _linear_params, final_states,
+                    init_params, prepare_graph, row_place, trunk_names)
 from .tensor import Tensor
 from .training import FitResult, fit
 from .windows import (ALL_EDGE_TYPES, GraphBuildConfig, INTER_EDGE_TYPES,
@@ -101,9 +104,10 @@ def sample_negatives(arrays: GraphArrays, ratio: float,
     empty because it holds the replaced endpoint itself. Every pending
     negative of a type draws its side and candidate at once, in up to 100
     rounds. A round rejects self-loops, candidates already positive or
-    already accepted, and all but the first of equal candidates; rejected
-    negatives keep their base edge and draw again next round. Negatives
-    still pending after the last round are counted in `shortfall[etype]`.
+    already accepted (a binary search of the sorted pair keys), and all but
+    the first of equal candidates; rejected negatives keep their base edge
+    and draw again next round. Negatives still pending after the last round
+    are counted in `shortfall[etype]`.
     """
     n = arrays.num_nodes
     positives: dict = {}
@@ -115,7 +119,7 @@ def sample_negatives(arrays: GraphArrays, ratio: float,
         base = rng.integers(0, len(src), int(ratio * len(src)))
         neg = np.stack([src[base], dst[base]])     # rows: sources, destinations
         done = np.zeros(len(base), dtype=bool)
-        taken = src * n + dst                       # pair keys already used
+        taken = np.sort(src * n + dst)              # pair keys already used
         for _ in range(100):
             todo = np.flatnonzero(~done)
             if len(todo) == 0:
@@ -125,10 +129,14 @@ def sample_negatives(arrays: GraphArrays, ratio: float,
             cand[side, np.arange(len(todo))] = rng.integers(
                 *_candidate_rows(arrays, etype, side, neg[1 - side, todo]))
             key = cand[0] * n + cand[1]
-            ok = (cand[0] != cand[1]) & ~np.isin(key, taken)
+            # `taken` holds the positives, so it is not empty here
+            at = np.minimum(np.searchsorted(taken, key), len(taken) - 1)
+            ok = (cand[0] != cand[1]) & (taken[at] != key)
             kept = np.flatnonzero(ok)
             kept = kept[np.unique(key[kept], return_index=True)[1]]
-            taken = np.concatenate([taken, key[kept]])
+            # the kept keys are sorted: merge them in place
+            taken = np.insert(taken, np.searchsorted(taken, key[kept]),
+                              key[kept])
             neg[:, todo[kept]] = cand[:, kept]
             done[todo[kept]] = True
         if not done.all():
@@ -177,19 +185,24 @@ def score_edges(states: Tensor, edges, etype: str,
     """One logit per edge (src[e], dst[e]): the `etype` scorer on the
     concatenated endpoint states. Its first layer is applied as
     `states[src] @ W_top + states[dst] @ W_bot`, with W_top and W_bot the
-    source and destination halves of `scorer.{etype}.0.W`: each node is
-    projected once, and the edges gather the projected rows."""
+    source and destination halves of `scorer.{etype}.0.W`: each distinct
+    source is projected by W_top once and each distinct destination by
+    W_bot once, and `T.pair_mlp` gathers the projected rows per edge and
+    runs the rest of the scorer in one op."""
     src, dst = edges
     n, h = states.data.shape
-    act = T.ACTIVATIONS[config.activation]
     w = params[f"scorer.{etype}.0.W"]
-    top = T.matmul(states, T.take_rows(w, np.arange(h)))
-    bottom = T.matmul(states, T.take_rows(w, np.arange(h, 2 * h)))
-    x = T.add(T.spmm(row_gather(src, n), top),
-              T.spmm(row_gather(dst, n), bottom))
-    x = act(T.add(x, params[f"scorer.{etype}.0.b"]))
-    return T.add(T.matmul(x, params[f"scorer.{etype}.1.W"]),
-                 params[f"scorer.{etype}.1.b"])
+    sources, src_slot = _distinct(src, n)
+    targets, dst_slot = _distinct(dst, n)
+    top = T.matmul(T.take_rows(states, sources),
+                   T.take_rows(w, np.arange(h)))
+    bottom = T.matmul(T.take_rows(states, targets),
+                      T.take_rows(w, np.arange(h, 2 * h)))
+    return T.pair_mlp(top, bottom, row_place(src_slot, len(sources)),
+                      row_place(dst_slot, len(targets)),
+                      params[f"scorer.{etype}.0.b"],
+                      params[f"scorer.{etype}.1.W"],
+                      params[f"scorer.{etype}.1.b"], config.activation)
 
 
 def link_pred_loss(arrays: GraphArrays, task: LinkPredTask,

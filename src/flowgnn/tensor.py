@@ -2,12 +2,13 @@
 gradients over the fixed set of operations the flow-graph model needs
 (`add`, `scale`, `div_const`, `matmul`, `stack_affine`, the activations,
 `concat_rows`, `take_rows`/`replace_rows` on distinct rows, `spmm`,
-`segment_max` and `sum_all`), plus losses, the Adam optimizer, a seeded
-RNG, and a finite-difference gradient checker.
+`pair_mlp`, `segment_max` and `sum_all`), plus losses, the Adam optimizer,
+a seeded RNG, and a finite-difference gradient checker.
 
 Everything is numpy under the hood, except that `spmm` multiplies by a
 scipy CSR operator the caller builds (a neighbour sum, a one-hot row
-gather whose indices may repeat, or its transpose, a row placement);
+gather whose indices may repeat, or its transpose, a row placement), and
+`pair_mlp`'s backward pass by two such placements;
 gradients are implemented per operation on a small tape (parent links +
 backward closures). The forward products of `matmul` and `stack_affine`
 give each row the same bits whatever the row count, so a row computed
@@ -276,6 +277,42 @@ def spmm(op, x: Tensor) -> Tensor:
         x._accum(op.transpose @ g)
 
     return Tensor(op.matrix @ x.data, parents=(x,), backward=bw)
+
+
+def pair_mlp(top: Tensor, bottom: Tensor, src, dst, b0: Tensor, w1: Tensor,
+             b1: Tensor, activation: str) -> Tensor:
+    """`act(top[src.row] + bottom[dst.row] + b0) @ w1 + b1`, one row per
+    pair, for `src` and `dst` row placements as `spmm` takes them: pair e
+    reads row src.row[e] of `top`, and `src.matrix` sums the gradient rows
+    of the pairs that read a row of `top` in pair order.
+
+    Bitwise equal to the composed ops (two `spmm` gathers, `add`s, the
+    activation, `matmul`), but the gathers, sums and activation share one
+    buffer, and the tape keeps only the activated rows: the leaky slope in
+    backward comes from their sign, as y > 0 exactly where x > 0.
+    """
+    if activation not in ("leaky_relu", "identity"):
+        raise ValueError(f"pair_mlp has no fused {activation!r}")
+    leaky = activation == "leaky_relu"
+    hidden = np.take(top.data, src.row, axis=0)
+    hidden += np.take(bottom.data, dst.row, axis=0)
+    hidden += b0.data
+    if leaky:
+        np.maximum(hidden, 0.01 * hidden, out=hidden)
+    out = _row_product(hidden, w1.data)
+    out += b1.data
+
+    def bw(g):
+        b1._accum(g.sum(axis=0))
+        w1._accum(hidden.T @ g)
+        g = g @ w1.data.T
+        if leaky:
+            g *= np.where(hidden > 0, 1.0, 0.01)
+        b0._accum(g.sum(axis=0))
+        top._accum(src.matrix @ g)
+        bottom._accum(dst.matrix @ g)
+
+    return Tensor(out, parents=(top, bottom, b0, w1, b1), backward=bw)
 
 
 def segment_max(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:

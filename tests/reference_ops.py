@@ -20,22 +20,35 @@ Negative sampling: the sequential sampler that `flowgnn.pretrain`'s bulk
 rounds replaced. It draws one negative at a time from per-window Python node
 lists and gives up on a negative at its first empty pool.
 
-Edge scoring: the scorer that `flowgnn.pretrain.score_edges`'s
-project-then-gather form replaced. It gathers both endpoint states of every
-edge, concatenates them into an E x 2h matrix and multiplies that by the
-first-layer weight, scoring a type's positives and negatives in two calls;
-the gathers scatter-add their gradients with `np.add.at`.
+Bulk negative sampling: `flowgnn.pretrain.sample_negatives` as it was
+before its membership test searched sorted pair keys; each round tests the
+candidate keys with `np.isin` against an unsorted array of used keys.
+
+Edge scoring, first form: the scorer that the project-then-gather form
+replaced. It gathers both endpoint states of every edge, concatenates them
+into an E x 2h matrix and multiplies that by the first-layer weight, scoring
+a type's positives and negatives in two calls; the gathers scatter-add their
+gradients with `np.add.at`.
+
+Edge scoring, composed form: the project-then-gather scorer that
+`flowgnn.pretrain.score_edges`'s fused op replaced. It projects every node
+state by both halves of the first-layer weight, gathers the projected rows
+per edge with two `spmm` ops, and runs the bias, the activation and the
+second layer as separate ops, each kept on the tape.
 
 Adam: the update that `flowgnn.tensor.adam_step` replaced. It updates every
 parameter, giving one without a gradient a zero gradient, and allocates a
 fresh array for each intermediate of the update.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 
+from flowgnn import pretrain
 from flowgnn import tensor as T
 from flowgnn.model import PHASES, edge_operator, final_states, row_gather
-from flowgnn.pretrain import LinkPredTask
+from flowgnn.pretrain import LinkPredTask, _candidate_rows
 from flowgnn.tensor import Tensor
 from flowgnn.windows import ALL_EDGE_TYPES, SPATIAL_EDGE_TYPES
 
@@ -285,6 +298,40 @@ def sample_negatives(graph, arrays, ratio, rng, max_attempts=100):
     return LinkPredTask(positives, negatives, ratio, shortfall)
 
 
+def bulk_sample_negatives(arrays, ratio, rng):
+    """Drop-in replacement for `flowgnn.pretrain.sample_negatives`."""
+    n = arrays.num_nodes
+    positives: dict = {}
+    negatives: dict = {}
+    shortfall: dict = {}
+    for etype in ALL_EDGE_TYPES:
+        src, dst = arrays.edges[etype]
+        positives[etype] = (src.copy(), dst.copy())
+        base = rng.integers(0, len(src), int(ratio * len(src)))
+        neg = np.stack([src[base], dst[base]])
+        done = np.zeros(len(base), dtype=bool)
+        taken = src * n + dst
+        for _ in range(100):
+            todo = np.flatnonzero(~done)
+            if len(todo) == 0:
+                break
+            side = rng.integers(0, 2, len(todo))
+            cand = neg[:, todo]
+            cand[side, np.arange(len(todo))] = rng.integers(
+                *_candidate_rows(arrays, etype, side, neg[1 - side, todo]))
+            key = cand[0] * n + cand[1]
+            ok = (cand[0] != cand[1]) & ~np.isin(key, taken)
+            kept = np.flatnonzero(ok)
+            kept = kept[np.unique(key[kept], return_index=True)[1]]
+            taken = np.concatenate([taken, key[kept]])
+            neg[:, todo[kept]] = cand[:, kept]
+            done[todo[kept]] = True
+        if not done.all():
+            shortfall[etype] = int((~done).sum())
+        negatives[etype] = (neg[0, done], neg[1, done])
+    return LinkPredTask(positives, negatives, ratio, shortfall)
+
+
 def score_edges(states, edges, etype, params, config):
     """Drop-in replacement for `flowgnn.pretrain.score_edges`."""
     src, dst = edges
@@ -315,6 +362,27 @@ def link_pred_loss(arrays, task, params, config):
     target_vec = np.concatenate(targets)
     loss = T.binary_cross_entropy(logits, target_vec)
     return loss, logits.data.reshape(-1), target_vec
+
+
+def composed_score_edges(states, edges, etype, params, config):
+    """Drop-in replacement for `flowgnn.pretrain.score_edges`."""
+    src, dst = edges
+    n, h = states.data.shape
+    act = T.ACTIVATIONS[config.activation]
+    w = params[f"scorer.{etype}.0.W"]
+    top = T.matmul(states, T.take_rows(w, np.arange(h)))
+    bottom = T.matmul(states, T.take_rows(w, np.arange(h, 2 * h)))
+    x = T.add(T.spmm(row_gather(src, n), top),
+              T.spmm(row_gather(dst, n), bottom))
+    x = act(T.add(x, params[f"scorer.{etype}.0.b"]))
+    return T.add(T.matmul(x, params[f"scorer.{etype}.1.W"]),
+                 params[f"scorer.{etype}.1.b"])
+
+
+def composed_link_pred_loss(arrays, task, params, config):
+    """`flowgnn.pretrain.link_pred_loss` with `composed_score_edges`."""
+    with patch.object(pretrain, "score_edges", composed_score_edges):
+        return pretrain.link_pred_loss(arrays, task, params, config)
 
 
 def adam_step(params, grads, state):

@@ -228,6 +228,25 @@ class TestConfigResolution:
         assert any(line.startswith("error:") and key in line
                    for line in err.splitlines())
 
+    @pytest.mark.parametrize("flags,env", [
+        pytest.param(["--set", "seed=abc"], None, id="non-integer-set"),
+        pytest.param([], "x", id="non-integer-env"),
+        pytest.param(["--seed", "-1"], None, id="negative-flag"),
+        pytest.param(["--set", f"seed={2 ** 64}"], None, id="beyond-64-bits"),
+    ])
+    def test_bad_seed_exit_two(self, tmp_path, cache, capsys, monkeypatch,
+                               flags, env):
+        if env is not None:
+            monkeypatch.setenv("PPT_SEED", env)
+        out_dir = tmp_path / "o"
+        assert main(["train", "--cache", str(cache), "--out-dir",
+                     str(out_dir), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any(line.startswith("error: seed must be")
+                   for line in err.splitlines())
+        assert not out_dir.exists()
+
     def test_readme_table_lists_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md") \
             .read_text(encoding="utf-8")

@@ -7,8 +7,7 @@ from conftest import mk_flow, sort_flows
 from flowgnn import tensor as T
 from flowgnn.ingest import (FormatError, LabelVocabulary, encode_flows,
                             fit_codec)
-from flowgnn.model import (CompatibilityError, ModelConfig, build_metadata,
-                           check_encoder_compat, config_from_items,
+from flowgnn.model import (ModelConfig, build_metadata, config_from_items,
                            config_items, configs_from_metadata,
                            forward, forward_prepared, init_node_states,
                            init_params, load_checkpoint, prepare_graph,
@@ -326,14 +325,6 @@ class TestCheckpoint:
         _, before = forward(self.graphs[0], self.params, self.config, self.gc)
         _, after = forward(self.graphs[0], loaded, model_config, gc)
         assert np.array_equal(before.data, after.data)
-
-    def test_mismatched_feature_dim_names_both(self):
-        with pytest.raises(CompatibilityError) as err:
-            check_encoder_compat(self.params, self.codec.feature_dim + 5,
-                                 self.gc)
-        msg = str(err.value)
-        expected = self.codec.feature_dim + self.gc.flow_encoding_dim
-        assert str(expected) in msg and str(expected + 5) in msg
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pptg"

@@ -1,4 +1,5 @@
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 
 import reference_ops
 from conftest import mk_flow, sort_flows
+from flowgnn import model
 from flowgnn import tensor as T
 from flowgnn.ingest import encode_flows, fit_codec, strip_labels
 from flowgnn.model import ModelConfig, init_params, prepare_graph
 from flowgnn.pretrain import (LinkPredTask, PretrainCorpus,
                               init_scorer_params, link_pred_accuracy,
                               link_pred_loss, pretrain, sample_negatives,
-                              transfer_weights)
+                              score_edges, transfer_weights)
 from flowgnn.model import CompatibilityError
 from flowgnn.synth import temporal_pattern
 from flowgnn.tensor import Rng
@@ -175,6 +177,39 @@ def test_negatives_are_legal_distinct_and_counted(flows, one_window,
             graph, arrays, ratio, Rng(seed + gi)), graph, ratio)
 
 
+def saturated_arrays():
+    """One flow from a to a: the spatial blocks are complete bipartite."""
+    flows = [mk_flow(0, 0.0, 0.1, src="a", dst="a")]
+    codec = fit_codec(flows)
+    graphs = build_temporal_graphs(flows, GC, encode_flows(flows, codec))
+    return prepare_graph(graphs[0], GC)
+
+
+@pytest.mark.parametrize("ratio", (0.0, 1.0, 2.0))
+def test_sampler_matches_isin_sampler(ratio):
+    records = temporal_pattern(n_windows=8, sources_per_window=3, burst_len=4,
+                               seed=17)
+    gc = GraphBuildConfig(window_size=5.0, window_memory=3)
+    graphs = build_temporal_graphs(records, gc, encode_flows(
+        records, fit_codec(records)))
+    prepared = [prepare_graph(g, gc) for g in graphs[-3:]]
+    prepared.append(saturated_arrays())
+    shortfalls = 0
+    for gi, arrays in enumerate(prepared):
+        for seed in range(3):
+            task = sample_negatives(arrays, ratio, Rng(seed + 10 * gi))
+            ref = reference_ops.bulk_sample_negatives(arrays, ratio,
+                                                      Rng(seed + 10 * gi))
+            assert task.shortfall == ref.shortfall
+            shortfalls += sum(task.shortfall.values())
+            for etype in ALL_EDGE_TYPES:
+                for got, want in zip(task.negatives[etype],
+                                     ref.negatives[etype]):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), etype
+    assert shortfalls > 0 if ratio else shortfalls == 0
+
+
 class TestScorer:
     def test_untrained_accuracy_near_chance(self):
         records = temporal_pattern(n_windows=10, seed=4)
@@ -197,6 +232,8 @@ class TestScorer:
 
 LOGIT_ATOL = 1e-12
 GRAD_RTOL = 1e-12
+#: the fused scorer's forward peak, as a share of the composed scorer's
+PEAK_SHARE = 0.8
 
 
 def link_pred_run(loss_fn, arrays, task, params, config):
@@ -208,21 +245,31 @@ def link_pred_run(loss_fn, arrays, task, params, config):
     return loss.item(), logits, targets, grads
 
 
-def assert_scorer_matches_reference(arrays, task, params, config):
+def assert_scorer_matches_reference(arrays, task, params, config,
+                                    reference=reference_ops.link_pred_loss,
+                                    logit_atol=LOGIT_ATOL):
     """Loss, logits, targets and every parameter gradient of
-    `link_pred_loss` against the concatenating reference scorer."""
+    `link_pred_loss` against a reference scorer's, by default the
+    concatenating one. The composed scorer computes the same logits, so
+    against it `logit_atol` is 0; its weight gradients sum more rows."""
     loss, logits, targets, grads = link_pred_run(link_pred_loss, arrays,
                                                  task, params, config)
     ref_loss, ref_logits, ref_targets, ref_grads = link_pred_run(
-        reference_ops.link_pred_loss, arrays, task, params, config)
+        reference, arrays, task, params, config)
     assert np.array_equal(targets, ref_targets)
     assert logits.shape == ref_logits.shape
-    assert np.abs(logits - ref_logits).max() <= LOGIT_ATOL
-    assert abs(loss - ref_loss) <= LOGIT_ATOL
+    assert np.abs(logits - ref_logits).max() <= logit_atol
+    assert abs(loss - ref_loss) <= logit_atol
     for name, ref in ref_grads.items():
         scale = np.abs(ref).max(initial=0.0)
         err = np.abs(grads[name] - ref).max(initial=0.0)
         assert err <= GRAD_RTOL * scale, (name, err, scale)
+
+
+def assert_scorer_matches_composed(arrays, task, params, config):
+    assert_scorer_matches_reference(
+        arrays, task, params, config,
+        reference=reference_ops.composed_link_pred_loss, logit_atol=0.0)
 
 
 def scorer_params(config, feature_dim, graph_config, seed):
@@ -244,6 +291,7 @@ def test_synth_link_prediction_matches_reference(ratio):
     for gi, arrays in enumerate(prepared):
         task = sample_negatives(arrays, ratio, Rng(gi))
         assert_scorer_matches_reference(arrays, task, params, MC)
+        assert_scorer_matches_composed(arrays, task, params, MC)
 
 
 def as_edges(pairs, n):
@@ -274,6 +322,109 @@ def test_generated_link_prediction_matches_reference(
                 loss_fn(arrays, task, params, config)
         return
     assert_scorer_matches_reference(arrays, task, params, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_flows=st.integers(1, 6), n_ips=st.integers(0, 4),
+       edge_lists=st.lists(edge_list, min_size=8, max_size=8),
+       negative_lists=st.lists(edge_list, min_size=8, max_size=8),
+       activation=st.sampled_from(("leaky_relu", "identity")),
+       seed=st.integers(0, 2**32 - 1))
+def test_generated_scores_match_composed_scorer(
+        n_flows, n_ips, edge_lists, negative_lists, activation, seed):
+    arrays = random_arrays(n_flows, n_ips, edge_lists, seed, num_layers=None)
+    n = arrays.num_nodes
+    task = LinkPredTask(arrays.edges,
+                        {etype: as_edges(pairs, n) for etype, pairs
+                         in zip(ALL_EDGE_TYPES, negative_lists)}, 1.0)
+    if not any(len(src) for src, _ in (*task.positives.values(),
+                                       *task.negatives.values())):
+        return
+    config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4,
+                         activation=activation)
+    params = scorer_params(config, FEATURES, SMALL_GC, seed)
+    assert_scorer_matches_composed(arrays, task, params, config)
+
+
+def one_row_task():
+    """intra_src has one edge (one distinct source and destination: the
+    one-row products), flow_to_src one destination for three sources,
+    intra_dst one pair three times over and as its own negative, and
+    inter_flow negatives only; the other types are empty."""
+    lists = [[] for _ in ALL_EDGE_TYPES]
+    negative_lists = [[] for _ in ALL_EDGE_TYPES]
+    lists[ALL_EDGE_TYPES.index("intra_src")] = [(0, 2)]
+    lists[ALL_EDGE_TYPES.index("flow_to_src")] = [(0, 5), (1, 5), (3, 5)]
+    lists[ALL_EDGE_TYPES.index("intra_dst")] = [(1, 3)] * 3
+    negative_lists[ALL_EDGE_TYPES.index("intra_dst")] = [(1, 3), (3, 1)]
+    negative_lists[ALL_EDGE_TYPES.index("inter_flow")] = [(2, 0)]
+    arrays = random_arrays(4, 2, lists, 5, num_layers=None)
+    return arrays, LinkPredTask(arrays.edges, {
+        etype: as_edges(pairs, arrays.num_nodes)
+        for etype, pairs in zip(ALL_EDGE_TYPES, negative_lists)}, 1.0)
+
+
+@pytest.mark.parametrize("activation", ("leaky_relu", "identity"))
+def test_one_row_and_repeated_pairs_match_composed_scorer(activation):
+    arrays, task = one_row_task()
+    config = ModelConfig(num_classes=2, hidden_size=16, classifier_hidden=16,
+                         activation=activation)
+    params = scorer_params(config, FEATURES, SMALL_GC, 7)
+    assert_scorer_matches_composed(arrays, task, params, config)
+
+
+def test_nan_state_row_propagates_as_in_composed_scorer():
+    config = ModelConfig(num_classes=2, hidden_size=8, classifier_hidden=8)
+    params = init_scorer_params(config, Rng(3))
+    states = Rng(4).normal((7, 8))
+    states[2] = np.nan
+    edges = (np.array([0, 2, 4, 4, 6, 1]), np.array([1, 3, 2, 5, 0, 1]))
+    logits = score_edges(T.Tensor(states), edges, "intra_src", params,
+                         config).data.reshape(-1)
+    ref = reference_ops.composed_score_edges(
+        T.Tensor(states), edges, "intra_src", params, config).data.reshape(-1)
+    assert np.array_equal(logits, ref, equal_nan=True)
+    assert np.array_equal(np.isnan(logits), (edges[0] == 2) | (edges[1] == 2))
+
+
+def test_scorer_builds_one_matrix_per_side(monkeypatch):
+    built = []
+    sum_matrix = model._sum_matrix
+    monkeypatch.setattr(model, "_sum_matrix",
+                        lambda *args: built.append(args) or sum_matrix(*args))
+    config = ModelConfig(num_classes=2, hidden_size=4, classifier_hidden=4)
+    params = init_scorer_params(config, Rng(3))
+    states = T.Tensor(Rng(4).normal((6, 4)))
+    edges = (np.array([0, 0, 3, 5]), np.array([1, 2, 2, 2]))
+    logits = score_edges(states, edges, "intra_src", params, config)
+    # the placements of the 4 edges' rows: 3 distinct sources, 2 destinations
+    assert [args[2] for args in built] == [(3, 4), (2, 4)]
+    T.sum_all(logits).backward()
+    assert len(built) == 2
+
+
+def test_fused_scorer_forward_peaks_below_composed_scorer():
+    gc = GraphBuildConfig(window_size=5.0, window_memory=3)
+    records = temporal_pattern(n_windows=8, sources_per_window=3, burst_len=4,
+                               seed=17)
+    codec = fit_codec(records)
+    graph = build_temporal_graphs(records, gc,
+                                  encode_flows(records, codec))[-1]
+    config = ModelConfig(num_classes=2, hidden_size=32, classifier_hidden=32)
+    params = scorer_params(config, codec.feature_dim, gc, 29)
+    arrays = prepare_graph(graph, gc)
+    task = sample_negatives(arrays, 1.0, Rng(0))
+    peaks = []
+    for loss_fn in (link_pred_loss, reference_ops.composed_link_pred_loss):
+        loss_fn(arrays, task, params, config)    # warm caches and imports
+        tracemalloc.start()
+        try:
+            kept = loss_fn(arrays, task, params, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del kept
+    assert peaks[0] < PEAK_SHARE * peaks[1], peaks
 
 
 def test_link_prediction_gradient_check():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgnn import tensor as T
-from flowgnn.model import edge_operator, row_gather
+from flowgnn.model import edge_operator, row_gather, row_place
 import reference_ops
 from reference_ops import (SEGMENT_REDUCERS, concat_cols, gather_rows,
                            put_rows, segment_mean)
@@ -128,6 +128,49 @@ class TestOps:
             return T.sum_all(T.leaky_relu(T.stack_affine(parts(p))))
 
         assert T.check_gradients(f, params) < 1e-8
+
+    @pytest.mark.parametrize("activation", ["leaky_relu", "identity"])
+    def test_pair_mlp_matches_composed_ops(self, activation):
+        rng = Rng(26)
+        params = {name: rand_tensor(rng, shape) for name, shape in (
+            ("top", (3, 5)), ("bottom", (4, 5)), ("b0", (5,)),
+            ("w1", (5, 1)), ("b1", (1,)))}
+        # repeated pairs, a row of `top` no pair reads
+        src = np.array([0, 2, 2, 0, 2])
+        dst = np.array([3, 1, 1, 0, 2])
+        act = T.ACTIVATIONS[activation]
+
+        def composed(p):
+            x = T.add(T.spmm(row_gather(src, 3), p["top"]),
+                      T.spmm(row_gather(dst, 4), p["bottom"]))
+            x = act(T.add(x, p["b0"]))
+            return T.add(T.matmul(x, p["w1"]), p["b1"])
+
+        def fused(p):
+            return T.pair_mlp(p["top"], p["bottom"], row_place(src, 3),
+                              row_place(dst, 4), p["b0"], p["w1"], p["b1"],
+                              activation)
+
+        runs = []
+        for scorer in (fused, composed):
+            T.zero_grads(params)
+            out = scorer(params)
+            T.sum_all(T.scale(out, -1.5)).backward()
+            runs.append((out.data, {n: p.grad.copy()
+                                    for n, p in params.items()}))
+        (logits, grads), (ref_logits, ref_grads) = runs
+        assert np.array_equal(logits, ref_logits)
+        for name in params:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert T.check_gradients(lambda p: T.sum_all(act(fused(p))),
+                                 params) < 1e-8
+
+    def test_pair_mlp_rejects_unknown_activation(self):
+        x = Tensor(np.ones((1, 2)))
+        place = row_place(np.array([0]), 1)
+        with pytest.raises(ValueError, match="tanh"):
+            T.pair_mlp(x, x, place, place, Tensor(np.ones(2)),
+                       Tensor(np.ones((2, 1))), Tensor(np.ones(1)), "tanh")
 
     @pytest.mark.parametrize("hidden", [3, 16, 128])
     def test_products_round_each_row_whatever_the_row_count(self, hidden):
