@@ -291,17 +291,18 @@ def _train_and_report(config: RunConfig, out_dir: Path, run_id: str,
     save_checkpoint(result.params, metadata, ckpt)
     write_epoch_log_csv(result.log, out_dir / f"epochs-{run_id}.csv")
     print(f"trained {train_config.epochs} epochs -> {ckpt}")
+    latencies: list[float] = []
     try:
         report = evaluate(result.params, data.test_graphs, data.vocab,
                           data.labels, model_config, graph_config,
-                          result.seconds)
+                          result.seconds, latencies)
     except EmptyDataError:
         write_timing_csv({"train": result.seconds},
                          out_dir / f"timing-{run_id}.csv")
         print("no labeled test flows; skipping evaluation")
         return EXIT_OK
     paths = write_report_files(report, data.vocab, out_dir, run_id,
-                               f"evaluation ({run_id})")
+                               f"evaluation ({run_id})", latencies)
     print(f"test multiclass macro F1 {report.multiclass_macro_f1:.4f} "
           f"-> {paths['metrics']}")
     return EXIT_OK
@@ -368,12 +369,13 @@ def cmd_evaluate(args) -> int:
     graphs = build_temporal_graphs(records, graph_config,
                                    encode_flows(records, codec))
     labels = {r.flow_id: r.label for r in records}
+    latencies: list[float] = []
     report = evaluate(params, graphs, vocab, labels, model_config,
-                      graph_config)
+                      graph_config, latencies=latencies)
     out_dir = Path(args.out_dir)
     _echo_config(config, out_dir, run_id)
     paths = write_report_files(report, vocab, out_dir, run_id,
-                               f"evaluation ({run_id})")
+                               f"evaluation ({run_id})", latencies)
     print(f"multiclass macro F1 {report.multiclass_macro_f1:.4f} "
           f"-> {paths['metrics']}")
     return EXIT_OK

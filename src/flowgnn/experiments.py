@@ -124,8 +124,8 @@ def _window_label_counts(graphs: Sequence[TemporalGraph],
                          num_classes: int) -> np.ndarray:
     counts = np.zeros((len(graphs), num_classes), dtype=np.int64)
     for i, g in enumerate(graphs):
-        for node in g.target.flow_nodes:
-            label = labels.get(node.flow_id, UNLABELED)
+        for flow_id in g.target.flow_ids.tolist():
+            label = labels.get(flow_id, UNLABELED)
             if label != UNLABELED:
                 counts[i, label] += 1
     return counts

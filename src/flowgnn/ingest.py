@@ -15,8 +15,10 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -67,21 +69,32 @@ class FlowRecord:
     def validate(self) -> str | None:
         """Return a violation message, or None if all invariants hold and
         every field fits its flow-cache slot."""
-        for name in ("start_time", "end_time", "duration"):
-            if not math.isfinite(getattr(self, name)):
-                return f"{name} {getattr(self, name)} not finite"
-        if self.end_time < self.start_time:
-            return f"end_time {self.end_time} < start_time {self.start_time}"
-        if abs(self.duration - (self.end_time - self.start_time)) > 1e-6:
-            return (f"duration {self.duration} inconsistent with "
-                    f"end-start {self.end_time - self.start_time}")
-        for name, lo, hi in _FIELD_RANGES:
-            if not lo <= getattr(self, name) < hi:
-                return f"{name} {getattr(self, name)} outside [{lo}, {hi})"
-        for name in ("src_ip", "dst_ip", "attack_name"):
-            if len((getattr(self, name) or "").encode("utf-8")) > 0xFFFF:
-                return f"{name} longer than 65535 UTF-8 bytes"
-        return None
+        return _violation(self)
+
+
+#: a record's fields before it is built, in FlowRecord field order
+_ParsedRow = namedtuple("_ParsedRow", [f.name for f in fields(FlowRecord)])
+#: every field but the label and attack name, in FlowRecord field order
+_UNLABELED_FIELDS = attrgetter(*_ParsedRow._fields[:-2])
+
+
+def _violation(r: FlowRecord | _ParsedRow) -> str | None:
+    """`FlowRecord.validate` of a record or of its parsed fields."""
+    for name in ("start_time", "end_time", "duration"):
+        if not math.isfinite(getattr(r, name)):
+            return f"{name} {getattr(r, name)} not finite"
+    if r.end_time < r.start_time:
+        return f"end_time {r.end_time} < start_time {r.start_time}"
+    if abs(r.duration - (r.end_time - r.start_time)) > 1e-6:
+        return (f"duration {r.duration} inconsistent with "
+                f"end-start {r.end_time - r.start_time}")
+    for name, lo, hi in _FIELD_RANGES:
+        if not lo <= getattr(r, name) < hi:
+            return f"{name} {getattr(r, name)} outside [{lo}, {hi})"
+    for name in ("src_ip", "dst_ip", "attack_name"):
+        if len((getattr(r, name) or "").encode("utf-8")) > 0xFFFF:
+            return f"{name} longer than 65535 UTF-8 bytes"
+    return None
 
 
 #: (field, lowest, highest + 1) of each integer field, per its cache slot
@@ -151,7 +164,7 @@ def load_flow_csv(path: str | Path, schema: Mapping[str, str]) -> LoadResult:
     has_label = "label" in schema
 
     ts_modes: dict[str, str] = {}
-    raw: list[FlowRecord] = []
+    raw: list[_ParsedRow] = []
     diagnostics: list[str] = []
     rejected = 0
     for lineno, row in enumerate(rows, start=2):  # header is line 1
@@ -168,7 +181,7 @@ def load_flow_csv(path: str | Path, schema: Mapping[str, str]) -> LoadResult:
             attack = col("attack_name").strip() if has_attack else None
             if attack == "":
                 attack = None
-            record = FlowRecord(
+            record = _ParsedRow(
                 flow_id=int(col("flow_id")) if has_flow_id else 0,
                 start_time=start,
                 end_time=end,
@@ -190,7 +203,7 @@ def load_flow_csv(path: str | Path, schema: Mapping[str, str]) -> LoadResult:
             diagnostics.append(f"line {lineno}: unparseable row ({exc})")
             rejected += 1
             continue
-        violation = record.validate()
+        violation = _violation(record)
         if violation is not None:
             diagnostics.append(f"line {lineno}: {violation}")
             rejected += 1
@@ -210,15 +223,14 @@ def load_flow_csv(path: str | Path, schema: Mapping[str, str]) -> LoadResult:
                     seen.add(r.flow_id)
                     kept.append(r)
             raw = kept
-        records = sorted(raw, key=lambda r: (r.start_time, r.flow_id))
+        raw.sort(key=lambda r: (r.start_time, r.flow_id))
+        records = [FlowRecord(*r) for r in raw]
     else:
         # No id column: sort by full content so identical inputs in any row
         # order produce identical sequences, then assign sequential ids.
-        raw.sort(key=lambda r: (r.start_time, r.end_time, r.src_ip, r.dst_ip,
-                                r.src_port, r.dst_port, r.protocol,
-                                r.in_bytes, r.out_bytes, r.in_pkts,
-                                r.out_pkts, r.tcp_flags))
-        records = [replace(r, flow_id=i) for i, r in enumerate(raw)]
+        # The content is the fields from start_time to tcp_flags.
+        raw.sort(key=lambda r: r[1:13])
+        records = [FlowRecord(i, *r[1:]) for i, r in enumerate(raw)]
 
     return LoadResult(tuple(records), len(records), rejected, tuple(diagnostics))
 
@@ -264,19 +276,24 @@ def label_records(records: Sequence[FlowRecord],
                   vocab: LabelVocabulary) -> tuple[FlowRecord, ...]:
     """Fill `label` from `attack_name`; records without a name stay unlabeled.
     A record whose label is already right comes back as the same object."""
+    index = {name: i for i, name in enumerate(vocab.classes)}
     out = []
     for r in records:
         if r.attack_name is None:
             out.append(r)
-        else:
-            label = vocab.index_of(r.attack_name)
-            out.append(r if r.label == label else replace(r, label=label))
+            continue
+        # `index_of` raises the KeyError naming an unknown class
+        label = index[r.attack_name] if r.attack_name in index \
+            else vocab.index_of(r.attack_name)
+        out.append(r if r.label == label else
+                   FlowRecord(*_UNLABELED_FIELDS(r), label, r.attack_name))
     return tuple(out)
 
 
 def strip_labels(records: Sequence[FlowRecord]) -> tuple[FlowRecord, ...]:
     """Remove labels and attack names (pre-training input hygiene)."""
-    return tuple(replace(r, label=UNLABELED, attack_name=None) for r in records)
+    return tuple(FlowRecord(*_UNLABELED_FIELDS(r), UNLABELED, None)
+                 for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +352,30 @@ def fit_codec(records: Sequence[FlowRecord]) -> FeatureCodec:
     return FeatureCodec(NUMERIC_FEATURES, tuple(means), tuple(stds), protocols)
 
 
-def encode_flow(record: FlowRecord, codec: FeatureCodec) -> np.ndarray:
-    """Encode one record; a protocol absent from the vocabulary encodes as
-    an all-zero one-hot block (no error)."""
-    vec = np.zeros(codec.feature_dim)
-    for i, field in enumerate(codec.numeric_features):
-        vec[i] = (float(getattr(record, field)) - codec.means[i]) / codec.stds[i]
-    base = len(codec.numeric_features)
-    try:
-        vec[base + codec.protocol_vocab.index(record.protocol)] = 1.0
-    except ValueError:
-        pass
-    base += len(codec.protocol_vocab)
-    for bit in range(8):
-        vec[base + bit] = (record.tcp_flags >> bit) & 1
-    return vec
-
-
 def encode_flows(records: Sequence[FlowRecord],
-                 codec: FeatureCodec) -> dict[int, np.ndarray]:
-    return {r.flow_id: encode_flow(r, codec) for r in records}
+                 codec: FeatureCodec) -> np.ndarray:
+    """One feature row per record, in record order. A protocol absent from
+    the vocabulary encodes as an all-zero one-hot block (no error)."""
+    out = np.zeros((len(records), codec.feature_dim))
+    if not records:
+        return out
+    base = len(codec.numeric_features)
+    if base:
+        numeric = np.array(list(map(attrgetter(*codec.numeric_features),
+                                    records)), dtype=np.float64)
+        out[:, :base] = (numeric.reshape(len(records), base)
+                         - np.array(codec.means)) / np.array(codec.stds)
+    slot: dict[int, int] = {}
+    for i, protocol in enumerate(codec.protocol_vocab):
+        slot.setdefault(protocol, i)
+    column = np.array([slot.get(r.protocol, -1) for r in records],
+                      dtype=np.int64)
+    known = np.flatnonzero(column >= 0)
+    out[known, base + column[known]] = 1.0
+    base += len(codec.protocol_vocab)
+    flags = np.array([r.tcp_flags for r in records], dtype=np.int64)
+    out[:, base:base + 8] = (flags[:, None] >> np.arange(8)) & 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -178,11 +178,6 @@ def _edge_operator(src: np.ndarray, rows: np.ndarray, slot: np.ndarray,
                         np.bincount(slot, minlength=len(rows)).astype(np.float64))
 
 
-def edge_operator(src: np.ndarray, dst: np.ndarray,
-                  num_nodes: int) -> EdgeOperator:
-    return _edge_operator(src, *_distinct(dst, num_nodes), num_nodes)
-
-
 @dataclass(frozen=True)
 class SourceProjection:
     """The neighbour input of an edge type that gives each destination row
@@ -344,63 +339,45 @@ def prepare_graph(graph: TemporalGraph, graph_config: GraphBuildConfig,
     """Flatten `graph` and plan its message passing: for the classifier's
     read of the target rows through `num_layers` layers, or for a read of
     every row when `num_layers` is None (pre-training scores every edge)."""
-    flow_bounds = np.cumsum([0] + [s.num_flows for s in graph.snapshots],
-                            dtype=np.int64)
+    snaps = graph.snapshots
+    flow_bounds = np.cumsum([0] + [s.num_flows for s in snaps], dtype=np.int64)
     n_flows = int(flow_bounds[-1])
-    ip_bounds = np.cumsum([n_flows] + [s.num_ips for s in graph.snapshots],
+    ip_bounds = np.cumsum([n_flows] + [s.num_ips for s in snaps],
                           dtype=np.int64)
     n_ips = int(ip_bounds[-1]) - n_flows
     bounds = {"flow": flow_bounds, "ip": ip_bounds}
 
-    feat_rows, cyc_rows = [], []
-    for snap in graph.snapshots:
-        feat_rows.extend(node.features for node in snap.flow_nodes)
-        cyc_rows.append(cyclical_encode(
-            np.array([node.ordinal for node in snap.flow_nodes], dtype=np.int64),
-            max(1, snap.num_flows), graph_config.flow_encoding_dim))
-    if feat_rows:
-        feature_dim = len(feat_rows[0])
-        if any(len(r) != feature_dim for r in feat_rows):
-            raise ValueError("inconsistent flow feature dimensions in graph")
-        flow_input = np.concatenate([np.asarray(feat_rows, dtype=np.float64),
-                                     np.concatenate(cyc_rows)], axis=1)
-    else:
-        flow_input = np.zeros((0, graph_config.flow_encoding_dim))
-
-    target_global = graph.snapshots[graph.target_index].window_index
-    ip_rows = []
-    for snap in graph.snapshots:
-        age = target_global - snap.window_index
-        enc = cyclical_encode(age, graph_config.window_memory,
-                              graph_config.window_encoding_dim)
-        ip_rows.append(np.tile(np.concatenate([[1.0], enc]), (snap.num_ips, 1)))
-    ip_input = np.concatenate(ip_rows) if ip_rows \
-        else np.zeros((0, 1 + graph_config.window_encoding_dim))
+    flow_input = np.concatenate([s.flow_input for s in snaps]) if n_flows \
+        else np.zeros((0, graph_config.flow_encoding_dim))
+    target_global = graph.target.window_index
+    ip_input = np.concatenate([
+        np.tile(np.concatenate([[1.0], cyclical_encode(
+            target_global - s.window_index, graph_config.window_memory,
+            graph_config.window_encoding_dim)]), (s.num_ips, 1))
+        for s in snaps])
 
     edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for etype in SPATIAL_EDGE_TYPES + INTRA_EDGE_TYPES:
-        src_kind, dst_kind = ENDPOINT_KINDS[etype]
-        pairs = np.concatenate(
-            [np.asarray(getattr(snap, etype), dtype=np.int64).reshape(-1, 2)
-             + (bounds[src_kind][w], bounds[dst_kind][w])
-             for w, snap in enumerate(graph.snapshots)])
-        edges[etype] = (pairs[:, 0].copy(), pairs[:, 1].copy())
+        blocks = [getattr(s, etype) for s in snaps]
+        counts = [len(b) for b in blocks]
+        pairs = np.concatenate(blocks)
+        edges[etype] = tuple(
+            pairs[:, side] + np.repeat(bounds[kind][:-1], counts)
+            for side, kind in enumerate(ENDPOINT_KINDS[etype]))
     for etype in INTER_EDGE_TYPES:
         first = bounds[ENDPOINT_KINDS[etype][0]]
-        a, i, b, j = np.asarray(getattr(graph, f"{etype}_edges"),
-                                dtype=np.int64).reshape(-1, 4).T
+        a, i, b, j = getattr(graph, f"{etype}_edges").reshape(-1, 4).T
         edges[etype] = (first[a] + i, first[b] + j)
 
-    target = graph.snapshots[graph.target_index]
-    target_rows = bounds["flow"][graph.target_index] + np.arange(
-        target.num_flows, dtype=np.int64)
+    target_rows = flow_bounds[graph.target_index] + np.arange(
+        graph.target.num_flows, dtype=np.int64)
     return GraphArrays(
         n_flows=n_flows, n_ips=n_ips,
         flow_input=flow_input, ip_input=ip_input, edges=edges,
         plan=message_plan(edges, n_flows + n_ips, target_rows, num_layers),
         window_bounds=bounds,
         target_rows=target_rows,
-        target_flow_ids=tuple(n.flow_id for n in target.flow_nodes),
+        target_flow_ids=tuple(graph.target.flow_ids.tolist()),
     )
 
 

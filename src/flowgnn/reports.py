@@ -14,6 +14,8 @@ import hashlib
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .ingest import LabelVocabulary
 from .metrics import MetricsReport
 
@@ -62,7 +64,18 @@ def write_confusion_csv(report: MetricsReport, vocab: LabelVocabulary,
 
 def write_timing_csv(entries: Mapping[str, float], path: Path) -> None:
     _write_csv(path, ("phase", "seconds"),
-               [(k, f"{v:.3f}") for k, v in entries.items()])
+               [(k, f"{v:.6f}") for k, v in entries.items()])
+
+
+def latency_entries(window_seconds: Sequence[float]) -> dict[str, float]:
+    """p50, p95 and max of the per-window detection latency (none without
+    a scored window), percentiles linearly interpolated."""
+    if not window_seconds:
+        return {}
+    p50, p95 = np.percentile(window_seconds, [50, 95])
+    return {"window_latency_p50": float(p50),
+            "window_latency_p95": float(p95),
+            "window_latency_max": max(window_seconds)}
 
 
 def write_epoch_log_csv(log: Sequence[Mapping], path: Path) -> None:
@@ -123,8 +136,10 @@ def summary_text(report: MetricsReport, vocab: LabelVocabulary,
 
 
 def write_report_files(report: MetricsReport, vocab: LabelVocabulary,
-                       out_dir: Path, run_id: str, title: str) -> dict:
-    """Emit the full deterministic report set plus the timing side file."""
+                       out_dir: Path, run_id: str, title: str,
+                       window_seconds: Sequence[float] = ()) -> dict:
+    """Emit the full deterministic report set plus the timing side file,
+    which also summarises the per-window detection latency of `evaluate`."""
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "metrics": out_dir / f"metrics-{run_id}.csv",
@@ -139,5 +154,7 @@ def write_report_files(report: MetricsReport, vocab: LabelVocabulary,
                         normalized=True)
     paths["summary"].write_text(summary_text(report, vocab, title),
                                 encoding="utf-8")
-    write_timing_csv({"train": report.train_seconds}, paths["timing"])
+    write_timing_csv({"train": report.train_seconds,
+                      **latency_entries(window_seconds)},
+                     paths["timing"])
     return paths

@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .ingest import BENIGN_NAME, FlowRecord, LabelVocabulary
+from .ingest import BENIGN_NAME, FlowRecord
 from .tensor import Rng
 
 #: canonical field -> CSV column mapping used by the exported datasets
@@ -155,12 +155,6 @@ def temporal_pattern(n_windows: int = 40, sources_per_window: int = 3,
                                  attack_name="LateBurst" if late else BENIGN_NAME,
                                  **_noise_fields(rng)))
     return _sorted_with_ids(rows)
-
-
-def vocabulary_for(records: Sequence[FlowRecord]) -> LabelVocabulary:
-    attacks = sorted({r.attack_name for r in records
-                      if r.attack_name not in (None, BENIGN_NAME)})
-    return LabelVocabulary((BENIGN_NAME, *attacks))
 
 
 def write_flow_csv(records: Sequence[FlowRecord], path: str | Path) -> Path:

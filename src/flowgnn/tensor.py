@@ -2,8 +2,8 @@
 gradients over the fixed set of operations the flow-graph model needs
 (`add`, `scale`, `div_const`, `matmul`, `stack_affine`, the activations,
 `concat_rows`, `take_rows`/`replace_rows` on distinct rows, `spmm`,
-`pair_mlp`, `segment_max` and `sum_all`), plus losses, the Adam optimizer,
-a seeded RNG, and a finite-difference gradient checker.
+`pair_mlp`, `segment_max` and `sum_all`), plus losses, the Adam optimizer
+and a seeded RNG.
 
 Everything is numpy under the hood, except that `spmm` multiplies by a
 scipy CSR operator the caller builds (a neighbour sum, a one-hot row
@@ -513,42 +513,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-# ---------------------------------------------------------------------------
-# gradient check
-
-
-def check_gradients(f: Callable[[Mapping[str, Tensor]], Tensor],
-                    params: Mapping[str, Tensor],
-                    eps: float = 1e-5) -> float:
-    """Worst relative error between analytic gradients of `f` and central
-    finite differences, over every coordinate of every parameter.
-
-    Relative error is |a - n| / (1 + |a| + |n|), which degrades to absolute
-    error for tiny gradients instead of blowing up on them.
-    """
-    zero_grads(params)
-    out = f(params)
-    out.backward()
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()}
-
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + eps
-                f_plus = f(params).item()
-                flat[i] = orig - eps
-                f_minus = f(params).item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = a_flat[i]
-            err = abs(a - numeric) / (1.0 + abs(a) + abs(numeric))
-            if err > worst:
-                worst = err
-    return worst

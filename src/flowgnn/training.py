@@ -19,11 +19,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .ingest import (FeatureCodec, FlowRecord, LabelVocabulary, UNLABELED,
-                     encode_flow)
+from .ingest import FlowRecord, LabelVocabulary, UNLABELED
 from .metrics import MetricsReport, build_report, f1_scores
-from .model import (GraphArrays, ModelConfig, _linear_params, copy_params,
-                    forward_prepared, prepare_graph)
+from .model import (GraphArrays, ModelConfig, copy_params, forward_prepared,
+                    prepare_graph)
 from .tensor import AdamState, Tensor, adam_step, zero_grads
 from .windows import GraphBuildConfig, TemporalGraph
 
@@ -229,74 +228,26 @@ def train(train_graphs: Sequence[TemporalGraph],
 def evaluate(params: Mapping[str, Tensor], test_graphs: Sequence[TemporalGraph],
              vocab: LabelVocabulary, labels: Mapping[int, int],
              model_config: ModelConfig, graph_config: GraphBuildConfig,
-             train_seconds: float = 0.0) -> MetricsReport:
+             train_seconds: float = 0.0,
+             latencies: list[float] | None = None) -> MetricsReport:
     """Score each labeled flow once, on its chronologically last prediction;
     binary F1 collapses every attack class against benign. Each graph is
-    prepared just before it is scored and dropped after."""
+    prepared just before it is scored and dropped after. `latencies`, when
+    given, receives the detection latency of each target window with flows:
+    the wall time from the start of its `prepare_graph` to the end of its
+    forward pass."""
     ordered = sorted(test_graphs, key=lambda g: g.target.window_index)
-    prepared = (prepare_graph(g, graph_config, model_config.num_layers)
-                for g in ordered)
-    y_true, y_pred = _labeled_predictions(prepared, params, model_config,
+
+    def prepared():
+        for g in ordered:
+            started = time.perf_counter()
+            arrays = prepare_graph(g, graph_config, model_config.num_layers)
+            yield arrays     # resumes once the graph is scored
+            if latencies is not None and len(arrays.target_rows):
+                latencies.append(time.perf_counter() - started)
+
+    y_true, y_pred = _labeled_predictions(prepared(), params, model_config,
                                           labels)
     if len(y_true) == 0:
         raise EmptyDataError("no target flows")
     return build_report(y_true, y_pred, vocab, train_seconds)
-
-
-# ---------------------------------------------------------------------------
-# flat MLP baseline (a GNN without topology)
-
-
-def _mlp_forward(x: np.ndarray, params: Mapping[str, Tensor],
-                 activation: str = "leaky_relu") -> Tensor:
-    act = T.ACTIVATIONS[activation]
-    h = act(T.add(T.matmul(Tensor(x), params["mlp.0.W"]), params["mlp.0.b"]))
-    return T.add(T.matmul(h, params["mlp.1.W"]), params["mlp.1.b"])
-
-
-def mlp_baseline(train_flows: Sequence[FlowRecord],
-                 val_flows: Sequence[FlowRecord],
-                 test_flows: Sequence[FlowRecord],
-                 codec: FeatureCodec, vocab: LabelVocabulary,
-                 config: TrainConfig) -> MetricsReport:
-    """Two-layer perceptron, 128 hidden units, on encoded flow features
-    alone, trained with the graph model's loss/selection protocol."""
-
-    def encode_split(flows):
-        rows = [(encode_flow(f, codec), f.label) for f in flows
-                if f.label != UNLABELED]
-        if not rows:
-            return np.zeros((0, codec.feature_dim)), np.zeros(0, dtype=np.int64)
-        x = np.asarray([r[0] for r in rows])
-        y = np.asarray([r[1] for r in rows], dtype=np.int64)
-        return x, y
-
-    x_train, y_train = encode_split(train_flows)
-    x_val, y_val = encode_split(val_flows)
-    x_test, y_test = encode_split(test_flows)
-    if len(y_train) == 0:
-        raise EmptyDataError("no labeled flows in the training split")
-    if len(y_test) == 0:
-        raise EmptyDataError("no target flows")
-
-    num_classes = vocab.num_classes
-    rng = T.Rng(config.seed).child("mlp")
-    params: dict[str, Tensor] = {}
-    _linear_params(rng.child("0"), "mlp.0", codec.feature_dim, 128, params)
-    _linear_params(rng.child("1"), "mlp.1", 128, num_classes, params)
-    weights = class_weights(y_train, num_classes) if config.weighted_loss else None
-
-    def steps(epoch):
-        yield (T.cross_entropy(_mlp_forward(x_train, params), y_train,
-                               class_weights=weights), len(y_train), {})
-
-    def score(p):
-        with T.no_grad():
-            val_pred = _mlp_forward(x_val, p).data.argmax(axis=1)
-        return f1_scores(y_val, val_pred, num_classes)[1]
-
-    result = fit(params, config.epochs, config.lr, steps,
-                 score if len(y_val) > 0 else None)
-    with T.no_grad():
-        y_pred = _mlp_forward(x_test, result.params).data.argmax(axis=1)
-    return build_report(y_test, y_pred, vocab, result.seconds)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -56,47 +57,74 @@ class GraphBuildConfig:
 @dataclass(frozen=True)
 class FlowNode:
     flow_id: int
-    features: np.ndarray
     ordinal: int
 
 
-@dataclass(frozen=True)
+def _pairs(rows: np.ndarray) -> np.ndarray:
+    """Read-only int64 (k, 2) edge array."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    rows.flags.writeable = False
+    return rows
+
+
+NO_PAIRS = _pairs(np.zeros((0, 2)))
+NO_RECURRENCES = NO_PAIRS.reshape(0, 2, 2)
+
+
+@dataclass(frozen=True, eq=False)
 class WindowSnapshot:
+    """One window's nodes and edges as array blocks, each built once.
+
+    Flow node f is row f of `flow_ids`, `ordinals` (its position in the
+    window's (start_time, flow_id) order) and `flow_input` (its features
+    followed by the cyclical encoding of its ordinal, the row the flow
+    encoder reads). IP node i has the endpoint key `ip_nodes[i]`, keys in
+    sorted order. Each edge type is an int64 (k, 2) array of
+    (source index, destination index) rows, flow or IP indices per the
+    endpoint kind.
+    """
+
     window_index: int
     window_start: float
     window_end: float
     ip_nodes: tuple[str, ...]
-    flow_nodes: tuple[FlowNode, ...]
-    # (src index, dst index) pairs; flow/IP indices per the endpoint type.
-    flow_to_src: tuple[tuple[int, int], ...] = ()
-    src_to_flow: tuple[tuple[int, int], ...] = ()
-    flow_to_dst: tuple[tuple[int, int], ...] = ()
-    dst_to_flow: tuple[tuple[int, int], ...] = ()
+    flow_ids: np.ndarray
+    ordinals: np.ndarray
+    flow_input: np.ndarray
+    flow_to_src: np.ndarray
+    src_to_flow: np.ndarray
+    flow_to_dst: np.ndarray
+    dst_to_flow: np.ndarray
     # flow -> flow, earlier -> later by (start_time, flow_id).
-    intra_src: tuple[tuple[int, int], ...] = ()
-    intra_dst: tuple[tuple[int, int], ...] = ()
+    intra_src: np.ndarray
+    intra_dst: np.ndarray
 
     @property
     def num_flows(self) -> int:
-        return len(self.flow_nodes)
+        return len(self.flow_ids)
 
     @property
     def num_ips(self) -> int:
         return len(self.ip_nodes)
 
+    @property
+    def flow_nodes(self) -> tuple[FlowNode, ...]:
+        return tuple(map(FlowNode, self.flow_ids.tolist(),
+                         self.ordinals.tolist()))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class TemporalGraph:
     """A window plus its memory of preceding windows.
 
-    Inter-window edges are ((window a, node i), (window b, node j)) with a < b,
-    window positions local to `snapshots`. Only flows of the target (newest)
-    snapshot are classified.
+    Inter-window edges are int64 (k, 2, 2) arrays of ((window a, node i),
+    (window b, node j)) rows with a < b, window positions local to
+    `snapshots`. Only flows of the target (newest) snapshot are classified.
     """
 
     snapshots: tuple[WindowSnapshot, ...]
-    inter_ip_edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    inter_flow_edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    inter_ip_edges: np.ndarray
+    inter_flow_edges: np.ndarray
     target_index: int
 
     @property
@@ -104,76 +132,146 @@ class TemporalGraph:
         return self.snapshots[self.target_index]
 
 
-def _window_of(x: float, t0: float, w: float) -> int:
-    """Index of the half-open grid window containing time x."""
-    i = int(math.floor((x - t0) / w))
+def _window_of(x: np.ndarray, t0: float, w: float) -> np.ndarray:
+    """Index of the half-open grid window containing each time in x."""
+    i = np.floor((x - t0) / w).astype(np.int64)
     # guard float rounding at the boundaries
-    if t0 + i * w > x:
-        i -= 1
-    elif x >= t0 + (i + 1) * w:
-        i += 1
-    return i
+    below = t0 + i * w > x
+    above = ~below & (x >= t0 + (i + 1) * w)
+    return i - below + above
+
+
+def _id_array(ids: Sequence[int]) -> np.ndarray:
+    """Flow ids as int64, or as uint64 when one needs the 64th bit."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=np.uint64)
+
+
+def _segment_positions(sizes: np.ndarray) -> np.ndarray:
+    """0..size-1 for each segment size, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+_BUILD_FIELDS = attrgetter("start_time", "end_time", "flow_id", "src_ip",
+                           "dst_ip")
 
 
 def build_snapshots(flows: Sequence[FlowRecord], config: GraphBuildConfig,
-                    features: Mapping[int, np.ndarray] | None = None,
+                    features: np.ndarray | None = None,
                     origin: float | None = None) -> tuple[WindowSnapshot, ...]:
     """Tile the flow stream into window snapshots with spatial edges.
 
     Flows must arrive sorted by (start_time, flow_id). A flow joins every
     window that contains its start or its end; long flows therefore show up
     in (at least) two snapshots. Empty windows still occupy an index.
-    `origin` overrides the grid anchor (defaults to the earliest start) so
-    that snapshots built for different splits share one global grid.
+    `features` holds one row per flow, in `flows` order (`encode_flows`);
+    without it the flow rows carry the ordinal encoding only. `origin`
+    overrides the grid anchor (defaults to the earliest start) so that
+    snapshots built for different splits share one global grid.
     """
     if not flows:
         return ()
-    for prev, cur in zip(flows, flows[1:]):
-        if (cur.start_time, cur.flow_id) < (prev.start_time, prev.flow_id):
-            raise ValueError("flows must be sorted by (start_time, flow_id)")
+    starts, ends, ids, srcs, dsts = zip(*map(_BUILD_FIELDS, flows))
+    starts = np.array(starts, dtype=np.float64)
+    ends = np.array(ends, dtype=np.float64)
+    ids = _id_array(ids)
+    if np.any((starts[1:] < starts[:-1])
+              | ((starts[1:] == starts[:-1]) & (ids[1:] < ids[:-1]))):
+        raise ValueError("flows must be sorted by (start_time, flow_id)")
+    n = len(starts)
+    if features is None:
+        features = np.zeros((n, 0))
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or len(features) != n:
+        raise ValueError(f"features must hold one row per flow: {n} flows, "
+                         f"features of shape {features.shape}")
 
     w = config.window_size
-    t0 = min(f.start_time for f in flows) if origin is None else origin
-    max_event = max(f.end_time for f in flows)
-    first = _window_of(min(f.start_time for f in flows), t0, w)
-    last = _window_of(max_event, t0, w)
+    t0 = float(starts.min()) if origin is None else float(origin)
+    first = int(_window_of(starts.min(), t0, w))
+    last = int(_window_of(ends.max(), t0, w))
+    num_windows = last - first + 1
 
-    members: list[list[FlowRecord]] = [[] for _ in range(last - first + 1)]
-    for f in flows:
-        idxs = {_window_of(f.start_time, t0, w), _window_of(f.end_time, t0, w)}
-        for i in idxs:
-            if first <= i <= last:
-                members[i - first].append(f)
+    # one member entry per (window, flow): the start window, and the end
+    # window when it differs; in window order, then stream order, which is
+    # the window's (start_time, flow_id) order
+    start_window = _window_of(starts, t0, w)
+    end_window = _window_of(ends, t0, w)
+    rows = np.arange(n)
+    spans = end_window != start_window
+    window = np.concatenate([start_window, end_window[spans]]) - first
+    row = np.concatenate([rows, rows[spans]])
+    keep = (window >= 0) & (window < num_windows)
+    window, row = np.divmod(np.sort(window[keep] * n + row[keep]), n)
+    sizes = np.bincount(window, minlength=num_windows)
+    flow_bounds = np.concatenate([[0], np.cumsum(sizes)])
+    ordinal = _segment_positions(sizes)
+
+    # endpoint keys coded by rank, so sorted codes are sorted keys
+    keys = sorted(set(srcs) | set(dsts))
+    rank = {key: code for code, key in enumerate(keys)}
+    src_code = np.fromiter(map(rank.__getitem__, srcs), np.int64, n)[row]
+    dst_code = np.fromiter(map(rank.__getitem__, dsts), np.int64, n)[row]
+    base = window * len(keys)
+    window_ips = np.unique(np.concatenate([base + src_code, base + dst_code]))
+    ip_bounds = np.searchsorted(window_ips,
+                                np.arange(num_windows + 1) * len(keys))
+    src_local = np.searchsorted(window_ips, base + src_code) - ip_bounds[window]
+    dst_local = np.searchsorted(window_ips, base + dst_code) - ip_bounds[window]
+    ip_keys = np.array(keys, dtype=object)[window_ips % len(keys)]
+
+    dim = features.shape[1]
+    flow_input = np.empty((len(row), dim + config.flow_encoding_dim))
+    flow_input[:, :dim] = features[row]
+    encodings: dict[int, np.ndarray] = {}
+    for k, size in enumerate(sizes.tolist()):
+        if size not in encodings:
+            encodings[size] = cyclical_encode(np.arange(size), max(1, size),
+                                              config.flow_encoding_dim)
+        flow_input[flow_bounds[k]:flow_bounds[k + 1], dim:] = encodings[size]
+    flow_input.flags.writeable = False
+    flow_ids = ids[row]
+    flow_ids.flags.writeable = ordinal.flags.writeable = False
+    spatial = {"flow_to_src": _pairs(np.stack([ordinal, src_local], axis=1)),
+               "src_to_flow": _pairs(np.stack([src_local, ordinal], axis=1)),
+               "flow_to_dst": _pairs(np.stack([ordinal, dst_local], axis=1)),
+               "dst_to_flow": _pairs(np.stack([dst_local, ordinal], axis=1))}
 
     snapshots = []
-    for i in range(first, last + 1):
-        window_flows = sorted(members[i - first], key=lambda f: (f.start_time, f.flow_id))
-        ip_keys = sorted({f.src_ip for f in window_flows} |
-                         {f.dst_ip for f in window_flows})
-        ip_index = {k: j for j, k in enumerate(ip_keys)}
-        nodes = []
-        flow_to_src, src_to_flow, flow_to_dst, dst_to_flow = [], [], [], []
-        for ordinal, f in enumerate(window_flows):
-            vec = np.asarray(features[f.flow_id], dtype=np.float64) \
-                if features is not None else np.zeros(0)
-            nodes.append(FlowNode(f.flow_id, vec, ordinal))
-            s, d = ip_index[f.src_ip], ip_index[f.dst_ip]
-            flow_to_src.append((ordinal, s))
-            src_to_flow.append((s, ordinal))
-            flow_to_dst.append((ordinal, d))
-            dst_to_flow.append((d, ordinal))
+    for k in range(num_windows):
+        i = first + k
+        lo, hi = flow_bounds[k], flow_bounds[k + 1]
         snapshots.append(WindowSnapshot(
             window_index=i,
             window_start=t0 + i * w,
             window_end=t0 + (i + 1) * w,
-            ip_nodes=tuple(ip_keys),
-            flow_nodes=tuple(nodes),
-            flow_to_src=tuple(flow_to_src),
-            src_to_flow=tuple(src_to_flow),
-            flow_to_dst=tuple(flow_to_dst),
-            dst_to_flow=tuple(dst_to_flow),
+            ip_nodes=tuple(ip_keys[ip_bounds[k]:ip_bounds[k + 1]]),
+            flow_ids=flow_ids[lo:hi],
+            ordinals=ordinal[lo:hi],
+            flow_input=flow_input[lo:hi],
+            **{etype: pairs[lo:hi] for etype, pairs in spatial.items()},
+            intra_src=NO_PAIRS, intra_dst=NO_PAIRS,
         ))
     return tuple(snapshots)
+
+
+def _chains(flow_ip: np.ndarray, flow_memory: int) -> np.ndarray:
+    """Edges from each flow's up to `flow_memory` preceding flows (by flow
+    index) of the same IP, for (flow index, IP index) rows; sorted."""
+    if not len(flow_ip):
+        return NO_PAIRS
+    m = int(flow_ip[:, 0].max()) + 1
+    ip, flow = np.divmod(np.sort(flow_ip[:, 1] * m + flow_ip[:, 0]), m)
+    k = np.arange(len(flow))
+    group_start = np.maximum.accumulate(
+        np.where(np.concatenate([[True], ip[1:] != ip[:-1]]), k, 0))
+    depth = np.minimum(k - group_start, flow_memory)
+    dst = np.repeat(k, depth)
+    src = dst - np.repeat(depth, depth) + _segment_positions(depth)
+    return _pairs(np.stack(np.divmod(np.sort(flow[src] * m + flow[dst]), m),
+                           axis=1))
 
 
 def add_intra_temporal_edges(snapshot: WindowSnapshot,
@@ -183,22 +281,32 @@ def add_intra_temporal_edges(snapshot: WindowSnapshot,
     Each flow receives edges from up to `flow_memory` immediately preceding
     flows sharing its source IP; symmetric construction for destinations.
     """
-
-    def chains(flow_ip_pairs):
-        groups: dict[int, list[int]] = {}
-        for flow_idx, ip_idx in flow_ip_pairs:
-            groups.setdefault(ip_idx, []).append(flow_idx)
-        edges = []
-        for ip_idx in sorted(groups):
-            ordered = sorted(groups[ip_idx])  # flow index order == ordinal order
-            for j in range(len(ordered)):
-                for k in range(max(0, j - config.flow_memory), j):
-                    edges.append((ordered[k], ordered[j]))
-        return tuple(sorted(edges))
-
     return replace(snapshot,
-                   intra_src=chains(snapshot.flow_to_src),
-                   intra_dst=chains(snapshot.flow_to_dst))
+                   intra_src=_chains(snapshot.flow_to_src, config.flow_memory),
+                   intra_dst=_chains(snapshot.flow_to_dst, config.flow_memory))
+
+
+def _recurrences(keys: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Recurrence edges of a window sequence whose window w holds the next
+    sizes[w] of `keys`: each occurrence of a key joins every later one.
+    Sorted, as an occurrence's position in `keys` orders (window, node)."""
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    grouped = keys[order]
+    pairs = []
+    for d in range(1, n):
+        same = np.flatnonzero(grouped[d:] == grouped[:-d])
+        if not len(same):
+            break
+        pairs.append(order[same] * n + order[same + d])
+    if not pairs:
+        return NO_RECURRENCES
+    early, late = np.divmod(np.sort(np.concatenate(pairs)), n)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    window = np.repeat(np.arange(len(sizes)), sizes)
+    node = _segment_positions(sizes)
+    return _pairs(np.stack([window[early], node[early],
+                            window[late], node[late]], axis=1)).reshape(-1, 2, 2)
 
 
 def assemble_temporal_graph(snapshots: Sequence[WindowSnapshot], t: int,
@@ -213,34 +321,23 @@ def assemble_temporal_graph(snapshots: Sequence[WindowSnapshot], t: int,
         raise ValueError(f"target index {t} out of range")
     lo = max(0, t - config.window_memory + 1)
     selected = tuple(snapshots[lo:t + 1])
-
-    def recurrence_edges(occurrences: dict) -> tuple:
-        edges = []
-        for key in occurrences:
-            occ = occurrences[key]
-            for a in range(len(occ)):
-                for b in range(a + 1, len(occ)):
-                    edges.append((occ[a], occ[b]))
-        return tuple(sorted(edges))
-
-    ip_occ: dict[str, list[tuple[int, int]]] = {}
-    flow_occ: dict[int, list[tuple[int, int]]] = {}
-    for w, snap in enumerate(selected):
-        for i, key in enumerate(snap.ip_nodes):
-            ip_occ.setdefault(key, []).append((w, i))
-        for i, node in enumerate(snap.flow_nodes):
-            flow_occ.setdefault(node.flow_id, []).append((w, i))
-
+    codes: dict[str, int] = {}
+    ip_codes = np.fromiter((codes.setdefault(key, len(codes))
+                            for snap in selected for key in snap.ip_nodes),
+                           np.int64)
     return TemporalGraph(
         snapshots=selected,
-        inter_ip_edges=recurrence_edges(ip_occ),
-        inter_flow_edges=recurrence_edges(flow_occ),
+        inter_ip_edges=_recurrences(ip_codes,
+                                    [s.num_ips for s in selected]),
+        inter_flow_edges=_recurrences(
+            np.concatenate([s.flow_ids for s in selected]),
+            [s.num_flows for s in selected]),
         target_index=len(selected) - 1,
     )
 
 
 def build_temporal_graphs(flows: Sequence[FlowRecord], config: GraphBuildConfig,
-                          features: Mapping[int, np.ndarray] | None = None,
+                          features: np.ndarray | None = None,
                           origin: float | None = None) -> tuple[TemporalGraph, ...]:
     """Full pipeline: snapshots, intra-window chains, one graph per window."""
     snapshots = tuple(add_intra_temporal_edges(s, config)
@@ -251,8 +348,10 @@ def build_temporal_graphs(flows: Sequence[FlowRecord], config: GraphBuildConfig,
 
 def strip_temporal_edges(graph: TemporalGraph) -> TemporalGraph:
     """Spatial-only variant of a graph (ablation baseline)."""
-    snaps = tuple(replace(s, intra_src=(), intra_dst=()) for s in graph.snapshots)
-    return TemporalGraph(snapshots=snaps, inter_ip_edges=(), inter_flow_edges=(),
+    snaps = tuple(replace(s, intra_src=NO_PAIRS, intra_dst=NO_PAIRS)
+                  for s in graph.snapshots)
+    return TemporalGraph(snapshots=snaps, inter_ip_edges=NO_RECURRENCES,
+                         inter_flow_edges=NO_RECURRENCES,
                          target_index=graph.target_index)
 
 
@@ -289,13 +388,15 @@ def dump_temporal_graph(graph: TemporalGraph) -> str:
                      f"start={snap.window_start!r} end={snap.window_end!r}")
         for i, key in enumerate(snap.ip_nodes):
             lines.append(f"  ip {i} {key}")
-        for i, node in enumerate(snap.flow_nodes):
-            lines.append(f"  flow {i} id={node.flow_id} ordinal={node.ordinal}")
+        for i, (flow_id, ordinal) in enumerate(zip(snap.flow_ids.tolist(),
+                                                   snap.ordinals.tolist())):
+            lines.append(f"  flow {i} id={flow_id} ordinal={ordinal}")
         for etype in SPATIAL_EDGE_TYPES + INTRA_EDGE_TYPES:
-            pairs = " ".join(f"({a},{b})" for a, b in getattr(snap, etype))
+            pairs = " ".join(f"({a},{b})" for a, b in getattr(snap, etype).tolist())
             lines.append(f"  edges {etype}: {pairs}")
     for etype, edges in (("inter_ip", graph.inter_ip_edges),
                          ("inter_flow", graph.inter_flow_edges)):
-        pairs = " ".join(f"({a},{i})->({b},{j})" for (a, i), (b, j) in edges)
+        pairs = " ".join(f"({a},{i})->({b},{j})"
+                         for (a, i), (b, j) in edges.tolist())
         lines.append(f"{etype}: {pairs}")
     return "\n".join(lines) + "\n"

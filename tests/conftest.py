@@ -110,33 +110,41 @@ def oracle_edge_set(flows, config, target, membership=None):
     return edges
 
 
+def as_tuples(edges):
+    """An edge array as nested tuples of ints: (k, 2) pairs give
+    ((a, b), ...), (k, 2, 2) recurrences give (((a, i), (b, j)), ...)."""
+    def nest(x):
+        return tuple(map(nest, x)) if isinstance(x, list) else x
+    return nest(edges.tolist())
+
+
 def builder_edge_set(graph):
     """The builder's TemporalGraph re-expressed in the oracle's semantic
     edge identities."""
     edges = set()
     for snap in graph.snapshots:
         k = snap.window_index
-        ids = [n.flow_id for n in snap.flow_nodes]
+        ids = snap.flow_ids.tolist()
         keys = list(snap.ip_nodes)
-        for f, i in snap.flow_to_src:
+        for f, i in snap.flow_to_src.tolist():
             edges.add(("flow_to_src", k, ids[f], keys[i]))
-        for i, f in snap.src_to_flow:
+        for i, f in snap.src_to_flow.tolist():
             edges.add(("src_to_flow", k, keys[i], ids[f]))
-        for f, i in snap.flow_to_dst:
+        for f, i in snap.flow_to_dst.tolist():
             edges.add(("flow_to_dst", k, ids[f], keys[i]))
-        for i, f in snap.dst_to_flow:
+        for i, f in snap.dst_to_flow.tolist():
             edges.add(("dst_to_flow", k, keys[i], ids[f]))
-        for a, b in snap.intra_src:
+        for a, b in snap.intra_src.tolist():
             edges.add(("intra_src", k, ids[a], ids[b]))
-        for a, b in snap.intra_dst:
+        for a, b in snap.intra_dst.tolist():
             edges.add(("intra_dst", k, ids[a], ids[b]))
     snaps = graph.snapshots
-    for (a, i), (b, j) in graph.inter_ip_edges:
+    for (a, i), (b, j) in graph.inter_ip_edges.tolist():
         edges.add(("inter_ip", snaps[a].window_index,
                    snaps[a].ip_nodes[i], snaps[b].window_index))
-    for (a, i), (b, j) in graph.inter_flow_edges:
+    for (a, i), (b, j) in graph.inter_flow_edges.tolist():
         edges.add(("inter_flow", snaps[a].window_index,
-                   snaps[a].flow_nodes[i].flow_id, snaps[b].window_index))
+                   int(snaps[a].flow_ids[i]), snaps[b].window_index))
     return edges
 
 
@@ -146,25 +154,42 @@ def builder_edge_set(graph):
 
 def permute_snapshot(snap, rng):
     """Relabel storage order of a snapshot's nodes, preserving semantics."""
+    import numpy as np
     from dataclasses import replace
-    fperm = list(rng.permutation(snap.num_flows))
-    iperm = list(rng.permutation(snap.num_ips))
-    fmap = {old: new for new, old in enumerate(fperm)}
-    imap = {old: new for new, old in enumerate(iperm)}
+    fperm = rng.permutation(snap.num_flows)
+    iperm = rng.permutation(snap.num_ips)
+    fmap = np.argsort(fperm)        # old storage index -> new
+    imap = np.argsort(iperm)
+
+    def relabel(pairs, src_map, dst_map):
+        return np.stack([src_map[pairs[:, 0]], dst_map[pairs[:, 1]]], axis=1)
+
     return replace(
         snap,
-        flow_nodes=tuple(snap.flow_nodes[i] for i in fperm),
+        flow_ids=snap.flow_ids[fperm],
+        ordinals=snap.ordinals[fperm],
+        flow_input=snap.flow_input[fperm],
         ip_nodes=tuple(snap.ip_nodes[i] for i in iperm),
-        flow_to_src=tuple((fmap[f], imap[i]) for f, i in snap.flow_to_src),
-        src_to_flow=tuple((imap[i], fmap[f]) for i, f in snap.src_to_flow),
-        flow_to_dst=tuple((fmap[f], imap[i]) for f, i in snap.flow_to_dst),
-        dst_to_flow=tuple((imap[i], fmap[f]) for i, f in snap.dst_to_flow),
-        intra_src=tuple((fmap[a], fmap[b]) for a, b in snap.intra_src),
-        intra_dst=tuple((fmap[a], fmap[b]) for a, b in snap.intra_dst),
+        flow_to_src=relabel(snap.flow_to_src, fmap, imap),
+        src_to_flow=relabel(snap.src_to_flow, imap, fmap),
+        flow_to_dst=relabel(snap.flow_to_dst, fmap, imap),
+        dst_to_flow=relabel(snap.dst_to_flow, imap, fmap),
+        intra_src=relabel(snap.intra_src, fmap, fmap),
+        intra_dst=relabel(snap.intra_dst, fmap, fmap),
     ), fmap, imap
 
 
+def perturb_features(snap, feature_dim, delta):
+    """`snap` with `delta` added to every flow's features, the first
+    `feature_dim` columns of its flow rows."""
+    from dataclasses import replace
+    flow_input = snap.flow_input.copy()
+    flow_input[:, :feature_dim] += delta
+    return replace(snap, flow_input=flow_input)
+
+
 def permute_graph(graph, seed):
+    import numpy as np
     from flowgnn.tensor import Rng
     from flowgnn.windows import TemporalGraph
     rng = Rng(seed)
@@ -174,12 +199,18 @@ def permute_graph(graph, seed):
         snaps.append(p)
         fmaps.append(fmap)
         imaps.append(imap)
+
+    def relabel(edges, maps):
+        a, i, b, j = edges.reshape(-1, 4).T
+        out = np.stack([a, [maps[w][n] for w, n in zip(a, i)],
+                        b, [maps[w][n] for w, n in zip(b, j)]],
+                       axis=1).astype(np.int64)
+        return out[np.lexsort(out.T[::-1])].reshape(-1, 2, 2)
+
     return TemporalGraph(
         snapshots=tuple(snaps),
-        inter_ip_edges=tuple(sorted(((a, imaps[a][i]), (b, imaps[b][j]))
-                                    for (a, i), (b, j) in graph.inter_ip_edges)),
-        inter_flow_edges=tuple(sorted(((a, fmaps[a][i]), (b, fmaps[b][j]))
-                                      for (a, i), (b, j) in graph.inter_flow_edges)),
+        inter_ip_edges=relabel(graph.inter_ip_edges, imaps),
+        inter_flow_edges=relabel(graph.inter_flow_edges, fmaps),
         target_index=graph.target_index,
     )
 

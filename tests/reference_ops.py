@@ -39,18 +39,38 @@ second layer as separate ops, each kept on the tape.
 Adam: the update that `flowgnn.tensor.adam_step` replaced. It updates every
 parameter, giving one without a gradient a zero gradient, and allocates a
 fresh array for each intermediate of the update.
+
+Window graphs as tuples: the builder that `flowgnn.windows`' array blocks
+replaced. Snapshots hold one `RefFlowNode` (flow id, feature row, ordinal)
+per flow and tuples of (int, int) pairs per edge type, built record by
+record; chains and recurrences come from per-pair Python loops. The
+features are a flow id -> row mapping from the per-record `encode_flow`.
+`flatten_graph` is the flattening part of the `prepare_graph` it fed, which
+rebuilt every array from those tuples and rows, and `dump_graph` the
+`dump_temporal_graph` that rendered them.
+
+Also here: the per-edge-type sum operator `edge_operator` and the
+finite-difference gradient check, used only by the tests.
 """
 
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Sequence
 from unittest.mock import patch
 
 import numpy as np
 
 from flowgnn import pretrain
 from flowgnn import tensor as T
-from flowgnn.model import PHASES, edge_operator, final_states, row_gather
+from flowgnn.ingest import FeatureCodec, FlowRecord
+from flowgnn.model import (ENDPOINT_KINDS, PHASES, EdgeOperator,
+                           _distinct, _edge_operator, final_states,
+                           row_gather)
 from flowgnn.pretrain import LinkPredTask, _candidate_rows
 from flowgnn.tensor import Tensor
-from flowgnn.windows import ALL_EDGE_TYPES, SPATIAL_EDGE_TYPES
+from flowgnn.windows import (ALL_EDGE_TYPES, INTER_EDGE_TYPES,
+                             INTRA_EDGE_TYPES, SPATIAL_EDGE_TYPES,
+                             GraphBuildConfig, cyclical_encode)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -408,3 +428,306 @@ def adam_step(params, grads, state):
         m_hat = m / (1.0 - state.beta1 ** t)
         v_hat = v / (1.0 - state.beta2 ** t)
         p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def edge_operator(src: np.ndarray, dst: np.ndarray,
+                  num_nodes: int) -> EdgeOperator:
+    """The sum `EdgeOperator` of the edges src[e] -> dst[e]."""
+    return _edge_operator(src, *_distinct(dst, num_nodes), num_nodes)
+
+
+# ---------------------------------------------------------------------------
+# gradient check
+
+
+def check_gradients(f: Callable[[Mapping[str, Tensor]], Tensor],
+                    params: Mapping[str, Tensor],
+                    eps: float = 1e-5) -> float:
+    """Worst relative error between analytic gradients of `f` and central
+    finite differences, over every coordinate of every parameter.
+
+    Relative error is |a - n| / (1 + |a| + |n|), which degrades to absolute
+    error for tiny gradients instead of blowing up on them.
+    """
+    T.zero_grads(params)
+    out = f(params)
+    out.backward()
+    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+                for name, p in params.items()}
+
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        a_flat = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            with T.no_grad():
+                flat[i] = orig + eps
+                f_plus = f(params).item()
+                flat[i] = orig - eps
+                f_minus = f(params).item()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = a_flat[i]
+            err = abs(a - numeric) / (1.0 + abs(a) + abs(numeric))
+            if err > worst:
+                worst = err
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# window graphs as tuples
+
+
+def encode_flow(record: FlowRecord, codec: FeatureCodec) -> np.ndarray:
+    """Encode one record; a protocol absent from the vocabulary encodes as
+    an all-zero one-hot block (no error)."""
+    vec = np.zeros(codec.feature_dim)
+    for i, field in enumerate(codec.numeric_features):
+        vec[i] = (float(getattr(record, field)) - codec.means[i]) / codec.stds[i]
+    base = len(codec.numeric_features)
+    try:
+        vec[base + codec.protocol_vocab.index(record.protocol)] = 1.0
+    except ValueError:
+        pass
+    base += len(codec.protocol_vocab)
+    for bit in range(8):
+        vec[base + bit] = (record.tcp_flags >> bit) & 1
+    return vec
+
+
+def encode_flows(records: Sequence[FlowRecord],
+                 codec: FeatureCodec) -> dict[int, np.ndarray]:
+    return {r.flow_id: encode_flow(r, codec) for r in records}
+
+
+@dataclass(frozen=True)
+class RefFlowNode:
+    flow_id: int
+    features: np.ndarray
+    ordinal: int
+
+
+@dataclass(frozen=True)
+class RefWindowSnapshot:
+    window_index: int
+    window_start: float
+    window_end: float
+    ip_nodes: tuple
+    flow_nodes: tuple
+    flow_to_src: tuple = ()
+    src_to_flow: tuple = ()
+    flow_to_dst: tuple = ()
+    dst_to_flow: tuple = ()
+    intra_src: tuple = ()
+    intra_dst: tuple = ()
+
+    @property
+    def num_flows(self) -> int:
+        return len(self.flow_nodes)
+
+    @property
+    def num_ips(self) -> int:
+        return len(self.ip_nodes)
+
+
+@dataclass(frozen=True)
+class RefTemporalGraph:
+    snapshots: tuple
+    inter_ip_edges: tuple
+    inter_flow_edges: tuple
+    target_index: int
+
+
+def window_of(x: float, t0: float, w: float) -> int:
+    """Index of the half-open grid window containing time x."""
+    i = int(math.floor((x - t0) / w))
+    # guard float rounding at the boundaries
+    if t0 + i * w > x:
+        i -= 1
+    elif x >= t0 + (i + 1) * w:
+        i += 1
+    return i
+
+
+def build_snapshots(flows: Sequence[FlowRecord], config: GraphBuildConfig,
+                    features: Mapping[int, np.ndarray] | None = None,
+                    origin: float | None = None) -> tuple:
+    if not flows:
+        return ()
+    for prev, cur in zip(flows, flows[1:]):
+        if (cur.start_time, cur.flow_id) < (prev.start_time, prev.flow_id):
+            raise ValueError("flows must be sorted by (start_time, flow_id)")
+
+    w = config.window_size
+    t0 = min(f.start_time for f in flows) if origin is None else origin
+    max_event = max(f.end_time for f in flows)
+    first = window_of(min(f.start_time for f in flows), t0, w)
+    last = window_of(max_event, t0, w)
+
+    members: list[list[FlowRecord]] = [[] for _ in range(last - first + 1)]
+    for f in flows:
+        idxs = {window_of(f.start_time, t0, w), window_of(f.end_time, t0, w)}
+        for i in idxs:
+            if first <= i <= last:
+                members[i - first].append(f)
+
+    snapshots = []
+    for i in range(first, last + 1):
+        window_flows = sorted(members[i - first],
+                              key=lambda f: (f.start_time, f.flow_id))
+        ip_keys = sorted({f.src_ip for f in window_flows} |
+                         {f.dst_ip for f in window_flows})
+        ip_index = {k: j for j, k in enumerate(ip_keys)}
+        nodes = []
+        flow_to_src, src_to_flow, flow_to_dst, dst_to_flow = [], [], [], []
+        for ordinal, f in enumerate(window_flows):
+            vec = np.asarray(features[f.flow_id], dtype=np.float64) \
+                if features is not None else np.zeros(0)
+            nodes.append(RefFlowNode(f.flow_id, vec, ordinal))
+            s, d = ip_index[f.src_ip], ip_index[f.dst_ip]
+            flow_to_src.append((ordinal, s))
+            src_to_flow.append((s, ordinal))
+            flow_to_dst.append((ordinal, d))
+            dst_to_flow.append((d, ordinal))
+        snapshots.append(RefWindowSnapshot(
+            window_index=i,
+            window_start=t0 + i * w,
+            window_end=t0 + (i + 1) * w,
+            ip_nodes=tuple(ip_keys),
+            flow_nodes=tuple(nodes),
+            flow_to_src=tuple(flow_to_src),
+            src_to_flow=tuple(src_to_flow),
+            flow_to_dst=tuple(flow_to_dst),
+            dst_to_flow=tuple(dst_to_flow),
+        ))
+    return tuple(snapshots)
+
+
+def add_intra_temporal_edges(snapshot, config: GraphBuildConfig):
+    def chains(flow_ip_pairs):
+        groups: dict[int, list[int]] = {}
+        for flow_idx, ip_idx in flow_ip_pairs:
+            groups.setdefault(ip_idx, []).append(flow_idx)
+        edges = []
+        for ip_idx in sorted(groups):
+            ordered = sorted(groups[ip_idx])  # flow index order == ordinal order
+            for j in range(len(ordered)):
+                for k in range(max(0, j - config.flow_memory), j):
+                    edges.append((ordered[k], ordered[j]))
+        return tuple(sorted(edges))
+
+    return replace(snapshot,
+                   intra_src=chains(snapshot.flow_to_src),
+                   intra_dst=chains(snapshot.flow_to_dst))
+
+
+def assemble_temporal_graph(snapshots, t: int,
+                            config: GraphBuildConfig) -> RefTemporalGraph:
+    if not 0 <= t < len(snapshots):
+        raise ValueError(f"target index {t} out of range")
+    lo = max(0, t - config.window_memory + 1)
+    selected = tuple(snapshots[lo:t + 1])
+
+    def recurrence_edges(occurrences: dict) -> tuple:
+        edges = []
+        for key in occurrences:
+            occ = occurrences[key]
+            for a in range(len(occ)):
+                for b in range(a + 1, len(occ)):
+                    edges.append((occ[a], occ[b]))
+        return tuple(sorted(edges))
+
+    ip_occ: dict[str, list[tuple[int, int]]] = {}
+    flow_occ: dict[int, list[tuple[int, int]]] = {}
+    for w, snap in enumerate(selected):
+        for i, key in enumerate(snap.ip_nodes):
+            ip_occ.setdefault(key, []).append((w, i))
+        for i, node in enumerate(snap.flow_nodes):
+            flow_occ.setdefault(node.flow_id, []).append((w, i))
+
+    return RefTemporalGraph(
+        snapshots=selected,
+        inter_ip_edges=recurrence_edges(ip_occ),
+        inter_flow_edges=recurrence_edges(flow_occ),
+        target_index=len(selected) - 1,
+    )
+
+
+def flatten_graph(graph: RefTemporalGraph,
+                  graph_config: GraphBuildConfig) -> dict:
+    """The arrays `prepare_graph` builds before its message plan, by
+    `GraphArrays` field name."""
+    flow_bounds = np.cumsum([0] + [s.num_flows for s in graph.snapshots],
+                            dtype=np.int64)
+    n_flows = int(flow_bounds[-1])
+    ip_bounds = np.cumsum([n_flows] + [s.num_ips for s in graph.snapshots],
+                          dtype=np.int64)
+    n_ips = int(ip_bounds[-1]) - n_flows
+    bounds = {"flow": flow_bounds, "ip": ip_bounds}
+
+    feat_rows, cyc_rows = [], []
+    for snap in graph.snapshots:
+        feat_rows.extend(node.features for node in snap.flow_nodes)
+        cyc_rows.append(cyclical_encode(
+            np.array([node.ordinal for node in snap.flow_nodes], dtype=np.int64),
+            max(1, snap.num_flows), graph_config.flow_encoding_dim))
+    if feat_rows:
+        feature_dim = len(feat_rows[0])
+        if any(len(r) != feature_dim for r in feat_rows):
+            raise ValueError("inconsistent flow feature dimensions in graph")
+        flow_input = np.concatenate([np.asarray(feat_rows, dtype=np.float64),
+                                     np.concatenate(cyc_rows)], axis=1)
+    else:
+        flow_input = np.zeros((0, graph_config.flow_encoding_dim))
+
+    target_global = graph.snapshots[graph.target_index].window_index
+    ip_rows = []
+    for snap in graph.snapshots:
+        age = target_global - snap.window_index
+        enc = cyclical_encode(age, graph_config.window_memory,
+                              graph_config.window_encoding_dim)
+        ip_rows.append(np.tile(np.concatenate([[1.0], enc]), (snap.num_ips, 1)))
+    ip_input = np.concatenate(ip_rows) if ip_rows \
+        else np.zeros((0, 1 + graph_config.window_encoding_dim))
+
+    edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for etype in SPATIAL_EDGE_TYPES + INTRA_EDGE_TYPES:
+        src_kind, dst_kind = ENDPOINT_KINDS[etype]
+        pairs = np.concatenate(
+            [np.asarray(getattr(snap, etype), dtype=np.int64).reshape(-1, 2)
+             + (bounds[src_kind][w], bounds[dst_kind][w])
+             for w, snap in enumerate(graph.snapshots)])
+        edges[etype] = (pairs[:, 0].copy(), pairs[:, 1].copy())
+    for etype in INTER_EDGE_TYPES:
+        first = bounds[ENDPOINT_KINDS[etype][0]]
+        a, i, b, j = np.asarray(getattr(graph, f"{etype}_edges"),
+                                dtype=np.int64).reshape(-1, 4).T
+        edges[etype] = (first[a] + i, first[b] + j)
+
+    target = graph.snapshots[graph.target_index]
+    return dict(
+        n_flows=n_flows, n_ips=n_ips, flow_input=flow_input,
+        ip_input=ip_input, edges=edges, window_bounds=bounds,
+        target_rows=bounds["flow"][graph.target_index] + np.arange(
+            target.num_flows, dtype=np.int64),
+        target_flow_ids=tuple(n.flow_id for n in target.flow_nodes))
+
+
+def dump_graph(graph: RefTemporalGraph) -> str:
+    lines = [f"graph windows={len(graph.snapshots)} target={graph.target_index}"]
+    for snap in graph.snapshots:
+        lines.append(f"window {snap.window_index} "
+                     f"start={snap.window_start!r} end={snap.window_end!r}")
+        for i, key in enumerate(snap.ip_nodes):
+            lines.append(f"  ip {i} {key}")
+        for i, node in enumerate(snap.flow_nodes):
+            lines.append(f"  flow {i} id={node.flow_id} ordinal={node.ordinal}")
+        for etype in SPATIAL_EDGE_TYPES + INTRA_EDGE_TYPES:
+            pairs = " ".join(f"({a},{b})" for a, b in getattr(snap, etype))
+            lines.append(f"  edges {etype}: {pairs}")
+    for etype, edges in (("inter_ip", graph.inter_ip_edges),
+                         ("inter_flow", graph.inter_flow_edges)):
+        pairs = " ".join(f"({a},{i})->({b},{j})" for (a, i), (b, j) in edges)
+        lines.append(f"{etype}: {pairs}")
+    return "\n".join(lines) + "\n"

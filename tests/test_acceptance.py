@@ -11,17 +11,20 @@ import numpy as np
 import pytest
 
 from conftest import (builder_edge_set, mk_flow, naive_f1, oracle_edge_set,
-                      oracle_windows, permute_graph, records_to_csv,
+                      oracle_windows, permute_graph, perturb_features,
+                      records_to_csv,
                       sort_flows, write_schema)
+from reference_ops import check_gradients
 from flowgnn import tensor as T
 from flowgnn.experiments import (prepare_splits, select_fraction,
                                  undersample_order)
-from flowgnn.ingest import encode_flows, fit_codec, strip_labels
+from flowgnn.ingest import (build_label_vocabulary, encode_flows, fit_codec,
+                            strip_labels)
 from flowgnn.metrics import f1_scores, binarize
 from flowgnn.model import (ModelConfig, forward, forward_prepared, init_params,
                            prepare_graph, spatial_step, temporal_step)
 from flowgnn.pretrain import PretrainCorpus, pretrain, transfer_weights
-from flowgnn.synth import feature_pattern, temporal_pattern, vocabulary_for
+from flowgnn.synth import feature_pattern, temporal_pattern
 from flowgnn.tensor import Rng, Tensor
 from flowgnn.training import TrainConfig, evaluate, predict_flows, train
 from flowgnn.windows import (GraphBuildConfig, add_intra_temporal_edges,
@@ -107,7 +110,7 @@ def test_criterion_02_gradient_check():
         return T.cross_entropy(logits, targets)
 
     started = time.perf_counter()
-    err = T.check_gradients(loss_fn, params)
+    err = check_gradients(loss_fn, params)
     elapsed = time.perf_counter() - started
     n = sum(p.data.size for p in params.values())
     report(2, "full-model gradient check",
@@ -246,9 +249,8 @@ def test_criterion_05_equivariance_and_locality():
             outside = t - gc.window_memory
             if outside >= 0:
                 mutated = list(snaps)
-                noisy = tuple(replace(n, features=n.features + 50.0)
-                              for n in snaps[outside].flow_nodes)
-                mutated[outside] = replace(snaps[outside], flow_nodes=noisy)
+                mutated[outside] = perturb_features(
+                    snaps[outside], codec.feature_dim, 50.0)
                 _, logits_c = forward(
                     assemble_temporal_graph(mutated, t, gc), params, config, gc)
                 if not np.array_equal(logits_a.data, logits_c.data):
@@ -267,7 +269,7 @@ def test_criterion_05_equivariance_and_locality():
 def test_criterion_06_capacity():
     gc = GraphBuildConfig(window_size=5.0, window_memory=2)
     records = feature_pattern(n_flows=200, seed=42)
-    vocab = vocabulary_for(records)
+    vocab = build_label_vocabulary(records)
     codec = fit_codec(records)
     graphs = build_temporal_graphs(records, gc, encode_flows(records, codec))
     labels = {r.flow_id: r.label for r in records}
@@ -298,7 +300,7 @@ def mech_env():
     gc = GraphBuildConfig(window_size=5.0, window_memory=3)
     records = temporal_pattern(n_windows=30, sources_per_window=3,
                                burst_len=4, seed=101, network="netA")
-    vocab = vocabulary_for(records)
+    vocab = build_label_vocabulary(records)
     data = prepare_splits(records, vocab, gc, (0.6, 0.2, 0.2))
     config = ModelConfig(num_classes=vocab.num_classes, hidden_size=16,
                          classifier_hidden=16, neighbor_aggregator="sum")
@@ -351,7 +353,7 @@ def fewshot_env():
     gc = GraphBuildConfig(window_size=5.0, window_memory=3)
     kw = dict(sources_per_window=2, burst_len=6)
     target = temporal_pattern(n_windows=30, seed=101, network="netA", **kw)
-    vocab = vocabulary_for(target)
+    vocab = build_label_vocabulary(target)
     others = [temporal_pattern(n_windows=15, seed=s, network=n, **kw)
               for s, n in ((202, "netB"), (303, "netC"))]
     protocols = tuple(sorted({r.protocol for r in target}))

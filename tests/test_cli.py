@@ -288,6 +288,23 @@ class TestFinetuneEvaluate:
                      str(cache), "--out-dir", str(eval_dir)]) == 0
         assert next(eval_dir.glob("metrics-*.csv")).exists()
 
+    def test_evaluate_timing_holds_window_latency(self, tmp_path, cache):
+        train_dir = tmp_path / "t"
+        assert main(["train", "--cache", str(cache), "--out-dir",
+                     str(train_dir), "--seed", "2", *FAST]) == 0
+        ckpt = next(train_dir.glob("checkpoint-*.pptg"))
+        eval_dir = tmp_path / "eval"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--cache",
+                     str(cache), "--out-dir", str(eval_dir)]) == 0
+        for run_dir in (train_dir, eval_dir):
+            lines = next(run_dir.glob("timing-*.csv")).read_text().split()
+            rows = dict(line.split(",") for line in lines[1:])
+            assert list(rows) == ["train", "window_latency_p50",
+                                  "window_latency_p95", "window_latency_max"]
+            p50, p95, most = (float(rows[f"window_latency_{k}"])
+                              for k in ("p50", "p95", "max"))
+            assert 0 < p50 <= p95 <= most
+
     def test_evaluate_unlabeled_cache_exit_four(self, tmp_path, cache,
                                                 capsys):
         train_dir = tmp_path / "t"

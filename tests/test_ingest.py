@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 from conftest import mk_flow, sort_flows
 from flowgnn.ingest import (BENIGN_NAME, FeatureCodec, FormatError,
                             LabelVocabulary, NUMERIC_FEATURES, SchemaError,
-                            UNLABELED, build_label_vocabulary, encode_flow,
+                            UNLABELED, build_label_vocabulary, encode_flows,
                             fit_codec, label_records, load_flow_csv,
                             read_flow_cache, strip_labels, write_flow_cache)
+from reference_ops import encode_flow
+
+
+def encode_one(record, codec):
+    return encode_flows([record], codec)[0]
 
 SCHEMA = {
     "start_time": "ts_start", "end_time": "ts_end", "src_ip": "src",
@@ -108,7 +113,7 @@ class TestCodec:
         codec = fit_codec(flows)
         i = codec.numeric_features.index("duration")
         assert codec.stds[i] == pytest.approx(1e-8)
-        assert encode_flow(flows[0], codec)[i] == pytest.approx(0.0)
+        assert encode_one(flows[0], codec)[i] == pytest.approx(0.0)
 
     def test_two_record_population_statistics(self):
         flows = [mk_flow(0, 0.0, 1.0, in_bytes=100),
@@ -144,7 +149,7 @@ class TestEncode:
         codec = fit_codec(flows)
         mean_flow = mk_flow(2, 1.0, 2.0, in_bytes=200, src_port=1001,
                             out_bytes=50, in_pkts=3, out_pkts=2)
-        vec = encode_flow(mean_flow, codec)
+        vec = encode_one(mean_flow, codec)
         n = len(NUMERIC_FEATURES)
         numerics = vec[:n]
         # duration/out_bytes/pkts/dst_port are constant -> 0; in_bytes at mean
@@ -155,14 +160,14 @@ class TestEncode:
     def test_unseen_protocol_is_zero_onehot(self):
         flows = [mk_flow(0, 0.0, 1.0, protocol=6)]
         codec = fit_codec(flows)
-        vec = encode_flow(mk_flow(1, 0.0, 1.0, protocol=17), codec)
+        vec = encode_one(mk_flow(1, 0.0, 1.0, protocol=17), codec)
         n = len(NUMERIC_FEATURES)
         assert np.all(vec[n:n + 1] == 0.0)
 
     def test_flag_bits_lsb_first(self):
         flows = [mk_flow(0, 0.0, 1.0)]
         codec = fit_codec(flows)
-        vec = encode_flow(mk_flow(1, 0.0, 1.0, tcp_flags=0b00010010), codec)
+        vec = encode_one(mk_flow(1, 0.0, 1.0, tcp_flags=0b00010010), codec)
         assert list(vec[-8:]) == [0, 1, 0, 0, 1, 0, 0, 0]
 
     def test_encoding_idempotent(self):
@@ -170,7 +175,7 @@ class TestEncode:
                  for i in range(6)]
         codec = fit_codec(flows)
         for f in flows:
-            a, b = encode_flow(f, codec), encode_flow(f, codec)
+            a, b = encode_one(f, codec), encode_one(f, codec)
             assert np.array_equal(a, b)
 
     def test_no_leakage_from_test_split(self):
@@ -179,7 +184,7 @@ class TestEncode:
         codec = fit_codec(train)
         before = codec.to_json()
         for f in test:
-            encode_flow(f, codec)
+            encode_one(f, codec)
         assert codec.to_json() == before
 
 
@@ -303,8 +308,33 @@ def test_codec_encoding_deterministic(rows):
     flows = sort_flows([mk_flow(i, s, s + d, in_bytes=b)
                         for i, (s, d, b) in enumerate(rows)])
     codec = fit_codec(flows)
-    mats = [np.array([encode_flow(f, codec) for f in flows])
-            for _ in range(2)]
+    mats = [encode_flows(flows, codec) for _ in range(2)]
     assert np.array_equal(mats[0], mats[1])
     assert mats[0].shape[1] == codec.feature_dim
     assert np.all(np.isfinite(mats[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=0, max_value=1e6),
+                          st.floats(min_value=0, max_value=1e3),
+                          st.integers(min_value=0, max_value=2 ** 63 - 1),
+                          st.integers(min_value=0, max_value=255),
+                          st.integers(min_value=0, max_value=255)),
+                min_size=1, max_size=25),
+       st.lists(st.integers(min_value=0, max_value=255), max_size=4),
+       st.integers(min_value=0, max_value=24))
+def test_encode_flows_matches_per_record_encoding(rows, extra_protocols, fit_on):
+    """The vectorised encoder is bitwise the per-record `encode_flow` of
+    `reference_ops`, for byte counts beyond 2**53, protocols outside the
+    vocabulary and a vocabulary with repeats."""
+    flows = sort_flows([mk_flow(i, s, s + d, in_bytes=b, protocol=p,
+                                tcp_flags=flags)
+                        for i, (s, d, b, p, flags) in enumerate(rows)])
+    codec = fit_codec(flows[:fit_on + 1])
+    codec = FeatureCodec(codec.numeric_features, codec.means, codec.stds,
+                         codec.protocol_vocab + tuple(extra_protocols))
+    expected = np.array([encode_flow(f, codec) for f in flows])
+    got = encode_flows(flows, codec)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert encode_flows((), codec).shape == (0, codec.feature_dim)

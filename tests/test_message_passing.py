@@ -455,4 +455,4 @@ def test_planned_step_gradients(aggregator):
     def loss(p):
         return T.cross_entropy(forward_prepared(arrays, p, config)[1], targets)
 
-    assert T.check_gradients(loss, params) < 1e-8
+    assert reference_ops.check_gradients(loss, params) < 1e-8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_flow, sort_flows
+from reference_ops import check_gradients
 from flowgnn import tensor as T
 from flowgnn.ingest import (FormatError, LabelVocabulary, encode_flows,
                             fit_codec)
@@ -210,7 +211,7 @@ class TestForward:
         assert np.array_equal(logits.data, manual.data)
 
 
-from conftest import permute_graph
+from conftest import permute_graph, perturb_features
 
 
 class TestInvariants:
@@ -237,7 +238,6 @@ class TestInvariants:
                 assert np.allclose(by_id_a[fid], by_id_b[fid], atol=1e-9)
 
     def test_memory_locality(self):
-        from dataclasses import replace as dc_replace
         gc = graph_config(window_size=1.0, window_memory=2)
         flows = sort_flows([mk_flow(i, i * 0.5, i * 0.5 + 0.1, src="a",
                                     dst=f"d{i % 2}") for i in range(12)])
@@ -256,10 +256,8 @@ class TestInvariants:
         # perturb a window outside the memory (t - memory) -> no change
         outside = t - gc.window_memory
         mutated = list(snaps)
-        noisy_nodes = tuple(
-            dc_replace(n, features=n.features + 100.0)
-            for n in snaps[outside].flow_nodes)
-        mutated[outside] = dc_replace(snaps[outside], flow_nodes=noisy_nodes)
+        mutated[outside] = perturb_features(snaps[outside], codec.feature_dim,
+                                            100.0)
         _, logits_out = forward(assemble_temporal_graph(mutated, t, gc),
                                 params, config, gc)
         assert np.array_equal(logits_before.data, logits_out.data)
@@ -267,10 +265,8 @@ class TestInvariants:
         # perturbing an in-memory window does change the output
         inside = t - 1
         mutated = list(snaps)
-        noisy_nodes = tuple(
-            dc_replace(n, features=n.features + 100.0)
-            for n in snaps[inside].flow_nodes)
-        mutated[inside] = dc_replace(snaps[inside], flow_nodes=noisy_nodes)
+        mutated[inside] = perturb_features(snaps[inside], codec.feature_dim,
+                                           100.0)
         _, logits_in = forward(assemble_temporal_graph(mutated, t, gc),
                                params, config, gc)
         assert not np.array_equal(logits_before.data, logits_in.data)
@@ -293,7 +289,7 @@ class TestGradient:
             _, logits = forward_prepared(arrays, p, config)
             return T.cross_entropy(logits, targets)
 
-        assert T.check_gradients(loss_fn, params) < 1e-6
+        assert check_gradients(loss_fn, params) < 1e-6
 
 
 class TestCheckpoint:

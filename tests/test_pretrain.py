@@ -443,7 +443,7 @@ def test_link_prediction_gradient_check():
     config = ModelConfig(num_classes=2, num_layers=1, hidden_size=3,
                          classifier_hidden=3)
     params = scorer_params(config, FEATURES, SMALL_GC, 11)
-    assert T.check_gradients(
+    assert reference_ops.check_gradients(
         lambda p: link_pred_loss(arrays, task, p, config)[0], params) < 1e-8
 
 

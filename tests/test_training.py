@@ -12,16 +12,16 @@ from flowgnn import training
 from flowgnn.experiments import (FewShotPlan, ablation_suite, fewshot,
                                  prepare_splits, select_fraction,
                                  undersample_order)
-from flowgnn.ingest import UNLABELED, encode_flows, fit_codec, label_records
+from flowgnn.ingest import (UNLABELED, build_label_vocabulary, encode_flows,
+                            fit_codec, label_records)
 from flowgnn.metrics import f1_scores
 from flowgnn.model import ModelConfig, copy_params, init_params, prepare_graph
 from flowgnn.pretrain import PretrainConfig
-from flowgnn.synth import (feature_pattern, temporal_pattern,
-                           topology_pattern, vocabulary_for)
+from flowgnn.synth import feature_pattern, temporal_pattern, topology_pattern
 from flowgnn.tensor import Rng, Tensor
 from flowgnn.training import (EmptyDataError, TrainConfig, chronological_split,
-                              class_weights, evaluate, fit, mlp_baseline,
-                              predict_flows, train)
+                              class_weights, evaluate, fit, predict_flows,
+                              train)
 from flowgnn.windows import GraphBuildConfig, build_temporal_graphs
 from reference_ops import mul_const
 from test_message_passing import build_transposes
@@ -91,7 +91,7 @@ class TestClassWeights:
 
 
 def prepared_dataset(records, **model_kw):
-    vocab = vocabulary_for(records)
+    vocab = build_label_vocabulary(records)
     data = prepare_splits(records, vocab, GC, (0.6, 0.2, 0.2))
     config = small_model(num_classes=vocab.num_classes, **model_kw)
     return data, config
@@ -114,7 +114,7 @@ class TestTrain:
 
     def test_overfits_separable_synthetic(self):
         records = feature_pattern(n_flows=120, seed=1)
-        vocab = vocabulary_for(records)
+        vocab = build_label_vocabulary(records)
         codec = fit_codec(records)
         graphs = build_temporal_graphs(records, GC,
                                        encode_flows(records, codec))
@@ -268,6 +268,21 @@ class TestEvaluate:
             evaluate(params, graphs, LabelVocabulary(("Benign", "X")),
                      {0: UNLABELED}, config, GC)
 
+    def test_latency_per_target_window_with_flows(self):
+        records = temporal_pattern(n_windows=8, sources_per_window=3,
+                                   burst_len=4, seed=4)
+        data, config = prepared_dataset(records)
+        params = init_params(config, data.codec.feature_dim, GC, Rng(5))
+        latencies = []
+        report = evaluate(params, data.test_graphs, data.vocab, data.labels,
+                          config, GC, latencies=latencies)
+        assert_same_report(report, evaluate(params, data.test_graphs,
+                                            data.vocab, data.labels,
+                                            config, GC))
+        assert len(latencies) == sum(1 for g in data.test_graphs
+                                     if g.target.num_flows)
+        assert all(s > 0 for s in latencies)
+
 
 GENERATED = {
     "temporal": lambda: temporal_pattern(n_windows=8, sources_per_window=3,
@@ -339,7 +354,7 @@ class TestNoTape:
         gc = GraphBuildConfig(window_size=5.0, window_memory=5)
         records = temporal_pattern(n_windows=8, sources_per_window=3,
                                    burst_len=10, seed=3)
-        vocab = vocabulary_for(records)
+        vocab = build_label_vocabulary(records)
         codec = fit_codec(records)
         graphs = build_temporal_graphs(records, gc, encode_flows(records, codec))
         labels = {r.flow_id: r.label for r in label_records(records, vocab)}
@@ -363,60 +378,10 @@ class TestNoTape:
         assert untaped < taped / 2, (untaped, taped)
 
 
-class TestMlpBaseline:
-    def test_single_class_perfect(self):
-        flows = [mk_flow(i, float(i), i + 0.1, label=0) for i in range(30)]
-        codec = fit_codec(flows)
-        from flowgnn.ingest import LabelVocabulary
-        vocab = LabelVocabulary(("Benign", "X"))
-        report = mlp_baseline(flows[:20], flows[20:25], flows[25:], codec,
-                              vocab, TrainConfig(epochs=5, lr=0.01, seed=0))
-        assert report.multiclass_weighted_f1 == 1.0
-
-    def test_runs_without_validation_split(self):
-        flows = [mk_flow(i, float(i), i + 0.1, label=i % 2) for i in range(30)]
-        codec = fit_codec(flows)
-        from flowgnn.ingest import LabelVocabulary
-        report = mlp_baseline(flows[:20], (), flows[20:], codec,
-                              LabelVocabulary(("Benign", "X")),
-                              TrainConfig(epochs=3, lr=0.01, seed=0))
-        assert sum(c.support for c in report.per_class) == 10
-
-    def test_topology_labels_defeat_flat_model(self):
-        records = topology_pattern(n_windows=18, seed=5)
-        data, config = prepared_dataset(records)
-        mlp_report = mlp_baseline(data.train_flows, data.val_flows,
-                                  data.test_flows, data.codec, data.vocab,
-                                  TrainConfig(epochs=40, lr=0.01, seed=0))
-        params = init_params(config, data.codec.feature_dim, GC, Rng(3))
-        result = train(data.train_graphs, data.val_graphs, data.labels,
-                       params, TrainConfig(epochs=40, lr=0.005, seed=3),
-                       config, GC)
-        gnn_report = evaluate(result.params, data.test_graphs, data.vocab,
-                              data.labels, config, GC)
-        assert gnn_report.multiclass_macro_f1 > \
-            mlp_report.multiclass_macro_f1 + 0.1
-
-    def test_feature_labels_make_mlp_competitive(self):
-        records = feature_pattern(n_flows=400, seed=6)
-        data, config = prepared_dataset(records, neighbor_aggregator="mean")
-        mlp_report = mlp_baseline(data.train_flows, data.val_flows,
-                                  data.test_flows, data.codec, data.vocab,
-                                  TrainConfig(epochs=60, lr=0.01, seed=0))
-        params = init_params(config, data.codec.feature_dim, GC, Rng(4))
-        result = train(data.train_graphs, data.val_graphs, data.labels,
-                       params, TrainConfig(epochs=40, lr=0.01, seed=4),
-                       config, GC)
-        gnn_report = evaluate(result.params, data.test_graphs, data.vocab,
-                              data.labels, config, GC)
-        assert abs(mlp_report.multiclass_macro_f1
-                   - gnn_report.multiclass_macro_f1) < 0.2
-
-
 class TestUndersampling:
     def make_data(self):
         records = temporal_pattern(n_windows=16, seed=8)
-        vocab = vocabulary_for(records)
+        vocab = build_label_vocabulary(records)
         return prepare_splits(records, vocab, GC, (1.0, 0.0, 0.0)), vocab
 
     def test_monotone_selection_across_fractions(self):

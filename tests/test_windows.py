@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (builder_edge_set, mk_flow, oracle_edge_set,
+import reference_ops
+from conftest import (as_tuples, builder_edge_set, mk_flow, oracle_edge_set,
                       oracle_windows, sort_flows)
+from flowgnn.ingest import encode_flows, fit_codec
+from flowgnn.model import prepare_graph
+from flowgnn.synth import temporal_pattern
 from flowgnn.windows import (GraphBuildConfig, add_intra_temporal_edges,
                              assemble_temporal_graph, build_snapshots,
                              build_temporal_graphs, cyclical_encode,
@@ -68,7 +72,7 @@ class TestBuildSnapshots:
         for snap in build_snapshots(flows, config):
             for etype in ("flow_to_src", "src_to_flow", "flow_to_dst",
                           "dst_to_flow"):
-                edges = getattr(snap, etype)
+                edges = as_tuples(getattr(snap, etype))
                 flow_side = 0 if etype.startswith("flow") else 1
                 flow_ends = [e[flow_side] for e in edges]
                 assert sorted(flow_ends) == list(range(snap.num_flows))
@@ -91,19 +95,19 @@ class TestIntraTemporalEdges:
         flows = sort_flows([mk_flow(0, 0.0, 0.1, src="a", dst="x"),
                             mk_flow(1, 1.0, 1.1, src="b", dst="y")])
         snap = build_all(flows, self.config())[0]
-        assert snap.intra_src == () and snap.intra_dst == ()
+        assert as_tuples(snap.intra_src) == () and as_tuples(snap.intra_dst) == ()
 
     def test_three_flows_share_source_full_chain(self):
         flows = sort_flows([mk_flow(i, float(i), float(i) + 0.1,
                                     src="a", dst=f"d{i}") for i in range(3)])
         snap = build_all(flows, self.config())[0]
-        assert set(snap.intra_src) == {(0, 1), (0, 2), (1, 2)}
+        assert set(as_tuples(snap.intra_src)) == {(0, 1), (0, 2), (1, 2)}
 
     def test_flow_memory_truncates_predecessors(self):
         flows = sort_flows([mk_flow(i, float(i), float(i) + 0.1,
                                     src="a", dst=f"d{i}") for i in range(5)])
         snap = build_all(flows, self.config(flow_memory=2))[0]
-        incoming_last = {a for a, b in snap.intra_src if b == 4}
+        incoming_last = {a for a, b in as_tuples(snap.intra_src) if b == 4}
         assert incoming_last == {2, 3}
 
     def test_edges_point_earlier_to_later(self):
@@ -111,7 +115,7 @@ class TestIntraTemporalEdges:
                                     src="a", dst="b") for i in range(6)])
         snap = build_all(flows, self.config())[0]
         nodes = snap.flow_nodes
-        for a, b in snap.intra_src + snap.intra_dst:
+        for a, b in as_tuples(snap.intra_src) + as_tuples(snap.intra_dst):
             assert nodes[a].ordinal < nodes[b].ordinal
 
 
@@ -123,8 +127,8 @@ class TestAssemble:
         snaps = build_all(flows, config)
         for t in range(len(snaps)):
             graph = assemble_temporal_graph(snaps, t, config)
-            assert graph.inter_ip_edges == ()
-            assert graph.inter_flow_edges == ()
+            assert as_tuples(graph.inter_ip_edges) == ()
+            assert as_tuples(graph.inter_flow_edges) == ()
             assert len(graph.snapshots) == 1
 
     def test_ip_recurrence_connects_all_later_occurrences(self):
@@ -138,7 +142,7 @@ class TestAssemble:
         expected = {(a_positions[0], a_positions[1]),
                     (a_positions[0], a_positions[2]),
                     (a_positions[1], a_positions[2])}
-        actual = {e for e in graph.inter_ip_edges
+        actual = {e for e in as_tuples(graph.inter_ip_edges)
                   if graph.snapshots[e[0][0]].ip_nodes[e[0][1]] == "a"}
         assert actual == expected
 
@@ -148,7 +152,7 @@ class TestAssemble:
         snaps = build_all(flows, config)
         graph = assemble_temporal_graph(snaps, 1, config)
         assert len(graph.inter_flow_edges) == 1
-        ((a, _), (b, _)) = graph.inter_flow_edges[0]
+        ((a, _), (b, _)) = as_tuples(graph.inter_flow_edges)[0]
         assert (a, b) == (0, 1)
 
     def test_edges_ordered_lexicographically(self):
@@ -158,8 +162,10 @@ class TestAssemble:
                             for i in range(10)])
         snaps = build_all(flows, config)
         graph = assemble_temporal_graph(snaps, len(snaps) - 1, config)
-        assert list(graph.inter_ip_edges) == sorted(graph.inter_ip_edges)
-        assert list(graph.inter_flow_edges) == sorted(graph.inter_flow_edges)
+        inter_ip = as_tuples(graph.inter_ip_edges)
+        inter_flow = as_tuples(graph.inter_flow_edges)
+        assert list(inter_ip) == sorted(inter_ip)
+        assert list(inter_flow) == sorted(inter_flow)
 
 
 class TestCyclicalEncode:
@@ -235,9 +241,9 @@ def test_bipartite_spatial_structure():
     flows = random_flows(rng, 25)
     config = GraphBuildConfig(window_size=5.0, window_memory=2)
     for snap in build_all(flows, config):
-        for f, i in snap.flow_to_src + snap.flow_to_dst:
+        for f, i in as_tuples(snap.flow_to_src) + as_tuples(snap.flow_to_dst):
             assert 0 <= f < snap.num_flows and 0 <= i < snap.num_ips
-        for i, f in snap.src_to_flow + snap.dst_to_flow:
+        for i, f in as_tuples(snap.src_to_flow) + as_tuples(snap.dst_to_flow):
             assert 0 <= i < snap.num_ips and 0 <= f < snap.num_flows
 
 
@@ -248,7 +254,7 @@ def test_indegree_bounded_by_flow_memory():
     for snap in build_all(flows, config):
         for edge_list in (snap.intra_src, snap.intra_dst):
             indeg = {}
-            for a, b in edge_list:
+            for a, b in as_tuples(edge_list):
                 indeg[b] = indeg.get(b, 0) + 1
             assert all(v <= config.flow_memory for v in indeg.values())
 
@@ -262,9 +268,10 @@ def test_temporal_union_is_acyclic():
     # order nodes by (window, kind, index); every temporal edge must ascend
     for snap in graph.snapshots:
         nodes = snap.flow_nodes
-        for a, b in snap.intra_src + snap.intra_dst:
+        for a, b in as_tuples(snap.intra_src) + as_tuples(snap.intra_dst):
             assert (nodes[a].ordinal, a) < (nodes[b].ordinal, b)
-    for (a, _), (b, _) in graph.inter_ip_edges + graph.inter_flow_edges:
+    for (a, _), (b, _) in (as_tuples(graph.inter_ip_edges)
+                           + as_tuples(graph.inter_flow_edges)):
         assert a < b
 
 
@@ -284,13 +291,13 @@ def test_strip_temporal_edges_removes_all():
     config = GraphBuildConfig(window_size=2.0, window_memory=3)
     for graph in build_temporal_graphs(flows, config):
         stripped = strip_temporal_edges(graph)
-        assert stripped.inter_ip_edges == ()
-        assert stripped.inter_flow_edges == ()
+        assert as_tuples(stripped.inter_ip_edges) == ()
+        assert as_tuples(stripped.inter_flow_edges) == ()
         for snap in stripped.snapshots:
-            assert snap.intra_src == () and snap.intra_dst == ()
+            assert as_tuples(snap.intra_src) == () and as_tuples(snap.intra_dst) == ()
         # spatial structure untouched
         for before, after in zip(graph.snapshots, stripped.snapshots):
-            assert before.flow_to_src == after.flow_to_src
+            assert as_tuples(before.flow_to_src) == as_tuples(after.flow_to_src)
 
 
 def test_dump_format_lists_nodes_and_edges():
@@ -314,3 +321,103 @@ def test_cyclical_encoding_periodic_property(pos, period, dim):
     b = cyclical_encode(pos + period, period, dim)
     assert np.allclose(a, b, atol=1e-9)
     assert np.all(np.abs(a) <= 1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array builder against the tuple builder it replaced
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference(flows, config, use_features=False, origin=None):
+    """Every graph of the array builder dumps byte-identically to the tuple
+    builder's, and prepares to bitwise-equal arrays."""
+    features = ref_features = None
+    if use_features:
+        codec = fit_codec(flows)
+        features = encode_flows(flows, codec)
+        ref_features = reference_ops.encode_flows(flows, codec)
+    snaps = tuple(add_intra_temporal_edges(s, config)
+                  for s in build_snapshots(flows, config, features, origin))
+    ref = tuple(reference_ops.add_intra_temporal_edges(s, config)
+                for s in reference_ops.build_snapshots(flows, config,
+                                                       ref_features, origin))
+    assert len(snaps) == len(ref)
+    for t in range(len(snaps)):
+        graph = assemble_temporal_graph(snaps, t, config)
+        expected = reference_ops.assemble_temporal_graph(ref, t, config)
+        assert dump_temporal_graph(graph) == reference_ops.dump_graph(expected)
+        arrays = prepare_graph(graph, config)
+        flat = reference_ops.flatten_graph(expected, config)
+        for name in ("n_flows", "n_ips", "target_flow_ids"):
+            assert getattr(arrays, name) == flat[name]
+        for name in ("flow_input", "ip_input", "target_rows"):
+            assert_same_bits(getattr(arrays, name), flat[name])
+        for kind in ("flow", "ip"):
+            assert_same_bits(arrays.window_bounds[kind],
+                             flat["window_bounds"][kind])
+        assert arrays.edges.keys() == flat["edges"].keys()
+        for etype, (src, dst) in arrays.edges.items():
+            assert_same_bits(src, flat["edges"][etype][0])
+            assert_same_bits(dst, flat["edges"][etype][1])
+
+
+#: keys differing only in trailing whitespace, a NUL, or the code points
+#: of one rendered character
+KEYS = ["a", "a ", "a\t", " a", "a\x00", "\u00e9", "e\u0301", "\u00e9 ", "b",
+        "\u00df"]
+
+
+@st.composite
+def flow_streams(draw):
+    w = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.5, 5.0]))
+    n = draw(st.integers(min_value=1, max_value=30))
+    ids = draw(st.lists(st.one_of(st.integers(0, 1000),
+                                  st.integers(2 ** 63 - 3, 2 ** 64 - 1)),
+                        min_size=n, max_size=n, unique=True))
+    flows = []
+    for flow_id in ids:
+        # starts on the grid, a hair off it, or anywhere; ends on a later
+        # boundary (a long flow spans two windows), nearby, or anywhere
+        k = draw(st.integers(min_value=0, max_value=12))
+        start = draw(st.sampled_from([k * w, k * w + 1e-9, (k + 0.5) * w]))
+        start = draw(st.one_of(st.just(start),
+                               st.floats(min_value=0, max_value=12 * w)))
+        end = draw(st.sampled_from([start, start + w, (k + 1) * w,
+                                    (k + 3) * w, start + 0.4 * w]))
+        end = max(end, start)
+        src = draw(st.sampled_from(KEYS))
+        dst = draw(st.one_of(st.just(src), st.sampled_from(KEYS)))
+        flows.append(mk_flow(flow_id, start, end, src=src, dst=dst,
+                             src_port=draw(st.integers(0, 65535)),
+                             protocol=draw(st.sampled_from([6, 17, 1]))))
+    flows = sort_flows(flows)
+    config = GraphBuildConfig(
+        window_size=w,
+        window_memory=draw(st.sampled_from([1, 2, 3, 5])),
+        flow_memory=draw(st.sampled_from([1, 2, 3, 20])))
+    first = min(f.start_time for f in flows)
+    origin = draw(st.one_of(st.none(),
+                            st.sampled_from([first, first - w, first - 2.5 * w,
+                                             first - 1e-9]),
+                            st.floats(min_value=first - 4 * w, max_value=first)))
+    return flows, config, origin
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_streams(), st.booleans())
+def test_array_builder_matches_tuple_reference(stream, use_features):
+    flows, config, origin = stream
+    assert_matches_reference(flows, config, use_features, origin)
+
+
+def test_array_builder_matches_tuple_reference_on_synthetic_stream():
+    records = temporal_pattern(n_windows=12, sources_per_window=4,
+                               burst_len=6, seed=3, network="netA")
+    config = GraphBuildConfig(window_size=5.0, window_memory=5, flow_memory=4)
+    assert_matches_reference(records, config, use_features=True)
+    assert_matches_reference(records, config, origin=records[0].start_time - 7.5)
