@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import struct
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,11 @@ NUMERIC_FEATURES = ("duration", "in_bytes", "out_bytes", "in_pkts", "out_pkts",
 REQUIRED_FIELDS = ("start_time", "end_time", "src_ip", "dst_ip", "src_port",
                    "dst_port", "protocol", "in_bytes", "out_bytes", "in_pkts",
                    "out_pkts", "tcp_flags")
-OPTIONAL_FIELDS = ("flow_id", "duration", "attack_name", "label")
+#: each optional field and what it holds when the schema does not map it;
+#: a None duration becomes end_time - start_time
+_DEFAULTS = {"flow_id": 0, "duration": None, "attack_name": None,
+             "label": UNLABELED}
+OPTIONAL_FIELDS = tuple(_DEFAULTS)
 
 
 class SchemaError(ValueError):
@@ -42,9 +47,11 @@ class SchemaError(ValueError):
 
 
 class FormatError(ValueError):
-    """A binary flow cache or checkpoint is malformed: truncated, with bytes
-    after its end, invalid UTF-8, a bad magic or version, or an index
-    beyond its table. The message names the file and the byte offset."""
+    """A flow CSV, binary flow cache or checkpoint is malformed: invalid
+    UTF-8, a CSV row the csv module cannot read (such as a cell over its
+    field size limit), truncation, bytes after the end, a bad magic or
+    version, or an index beyond its table. The message names the file and
+    the byte offset, or a CSV row's line."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,20 +73,17 @@ class FlowRecord:
     label: int = UNLABELED
     attack_name: str | None = None
 
-    def validate(self) -> str | None:
-        """Return a violation message, or None if all invariants hold and
-        every field fits its flow-cache slot."""
-        return _violation(self)
-
 
 #: a record's fields before it is built, in FlowRecord field order
 _ParsedRow = namedtuple("_ParsedRow", [f.name for f in fields(FlowRecord)])
 #: every field but the label and attack name, in FlowRecord field order
 _UNLABELED_FIELDS = attrgetter(*_ParsedRow._fields[:-2])
+_START, _END, _DURATION = map(_ParsedRow._fields.index,
+                              ("start_time", "end_time", "duration"))
 
 
-def _violation(r: FlowRecord | _ParsedRow) -> str | None:
-    """`FlowRecord.validate` of a record or of its parsed fields."""
+def _violation(r: _ParsedRow) -> str | None:
+    """The first invariant or cache-slot bound a parsed row breaks, or None."""
     for name in ("start_time", "end_time", "duration"):
         if not math.isfinite(getattr(r, name)):
             return f"{name} {getattr(r, name)} not finite"
@@ -114,31 +118,42 @@ class LoadResult:
     diagnostics: tuple[str, ...]
 
 
-def _parse_timestamp_mode(value: str) -> str:
-    try:
-        float(value)
-        return "epoch"
-    except ValueError:
-        return "iso"
-
-
-def _parse_timestamp(value: str, mode: str) -> float:
-    if mode == "epoch":
-        return float(value)
+def _iso_timestamp(value: str) -> float:
     dt = datetime.fromisoformat(value)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    return (dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None
+            else dt).timestamp()
+
+
+def _timestamp_parser(first: str) -> Callable[[str], float]:
+    """`float` if a column's first value is an epoch float, else ISO-8601."""
+    try:
+        float(first)
+        return float
+    except ValueError:
+        return _iso_timestamp
+
+
+#: (field, converter) of every CSV field, in conversion order: a row with
+#: several bad cells reports the first. The timestamps' converters (None)
+#: are picked per file from the first row.
+_CSV_FIELDS = (("start_time", None), ("end_time", None), ("duration", float),
+               ("attack_name", lambda cell: cell.strip() or None),
+               ("flow_id", int), ("src_ip", str), ("dst_ip", str),
+               *((name, int) for name in (
+                   "src_port", "dst_port", "protocol", "in_bytes",
+                   "out_bytes", "in_pkts", "out_pkts", "tcp_flags", "label")))
 
 
 def load_flow_csv(path: str | Path, schema: Mapping[str, str]) -> LoadResult:
     """Load a UTF-8 CSV of flow records through a column-name mapping.
 
-    `schema` maps canonical field names to CSV column names. Rows violating
-    record invariants are rejected with a per-row diagnostic; the surviving
-    records come back sorted by (start_time, flow_id). Timestamp columns are
-    auto-detected as ISO-8601 or epoch floats on their first value and the
-    choice is then fixed for the whole file.
+    `schema` maps canonical field names to CSV column names (the last of
+    duplicate header names counts). Blank lines are skipped. A row lacking
+    a mapped cell or violating record invariants is rejected with a
+    diagnostic naming its line; the rest come back sorted by (start_time,
+    flow_id). Each timestamp column is read as ISO-8601 or epoch floats,
+    as its first value parses. Invalid UTF-8 or an unreadable row (say, a
+    cell over the csv field size limit) raises FormatError.
     """
     path = Path(path)
     for field in schema:
@@ -147,92 +162,65 @@ def load_flow_csv(path: str | Path, schema: Mapping[str, str]) -> LoadResult:
     for field in REQUIRED_FIELDS:
         if field not in schema:
             raise SchemaError(f"schema does not map required field {field!r}")
-
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 in flow CSV at offset "
+                          f"{exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    raw, diagnostics = [], []
+    try:
+        header = next(reader, None)
+        if header is None:
             return LoadResult((), 0, 0, ())
+        position = {column: i for i, column in enumerate(header)}
         for field, column in schema.items():
-            if column not in reader.fieldnames:
+            if column not in position:
                 raise SchemaError(f"column {column!r} (field {field!r}) "
                                   f"missing from {path.name}")
-        rows = list(reader)
+        # (record slot, cell position, converter) of each mapped field
+        mapped = [(_ParsedRow._fields.index(field), position[schema[field]],
+                   convert) for field, convert in _CSV_FIELDS if field in schema]
+        defaults = [_DEFAULTS.get(field) for field in _ParsedRow._fields]
+        for row in filter(None, reader):  # blank lines give no cells
+            values = defaults.copy()
+            try:
+                if mapped[0][2] is None:  # the first row picks timestamp parsers
+                    mapped = [(slot, cell, convert or _timestamp_parser(row[cell]))
+                              for slot, cell, convert in mapped]
+                for slot, cell, convert in mapped:
+                    values[slot] = convert(row[cell])
+            except ValueError as exc:
+                problem = f"unparseable row ({exc})"
+            except IndexError:  # a mapped cell past the row's end
+                problem = f"short row ({len(row)} cells)"
+            else:
+                if values[_DURATION] is None:
+                    values[_DURATION] = values[_END] - values[_START]
+                record = _ParsedRow._make(values)
+                problem = _violation(record)
+            if problem is None:
+                raw.append(record)
+            else:
+                diagnostics.append(f"line {reader.line_num}: {problem}")
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
-    has_flow_id = "flow_id" in schema
-    has_duration = "duration" in schema
-    has_attack = "attack_name" in schema
-    has_label = "label" in schema
-
-    ts_modes: dict[str, str] = {}
-    raw: list[_ParsedRow] = []
-    diagnostics: list[str] = []
-    rejected = 0
-    for lineno, row in enumerate(rows, start=2):  # header is line 1
-        try:
-            def col(field):
-                return row[schema[field]]
-
-            for ts_field in ("start_time", "end_time"):
-                if ts_field not in ts_modes:
-                    ts_modes[ts_field] = _parse_timestamp_mode(col(ts_field))
-            start = _parse_timestamp(col("start_time"), ts_modes["start_time"])
-            end = _parse_timestamp(col("end_time"), ts_modes["end_time"])
-            duration = float(col("duration")) if has_duration else end - start
-            attack = col("attack_name").strip() if has_attack else None
-            if attack == "":
-                attack = None
-            record = _ParsedRow(
-                flow_id=int(col("flow_id")) if has_flow_id else 0,
-                start_time=start,
-                end_time=end,
-                src_ip=col("src_ip"),
-                dst_ip=col("dst_ip"),
-                src_port=int(col("src_port")),
-                dst_port=int(col("dst_port")),
-                protocol=int(col("protocol")),
-                in_bytes=int(col("in_bytes")),
-                out_bytes=int(col("out_bytes")),
-                in_pkts=int(col("in_pkts")),
-                out_pkts=int(col("out_pkts")),
-                tcp_flags=int(col("tcp_flags")),
-                duration=duration,
-                label=int(col("label")) if has_label else UNLABELED,
-                attack_name=attack,
-            )
-        except (ValueError, KeyError) as exc:
-            diagnostics.append(f"line {lineno}: unparseable row ({exc})")
-            rejected += 1
-            continue
-        violation = _violation(record)
-        if violation is not None:
-            diagnostics.append(f"line {lineno}: {violation}")
-            rejected += 1
-            continue
-        raw.append(record)
-
-    if has_flow_id:
-        ids = [r.flow_id for r in raw]
-        if len(set(ids)) != len(ids):
-            seen: set[int] = set()
-            kept = []
-            for r in raw:
-                if r.flow_id in seen:
-                    diagnostics.append(f"duplicate flow_id {r.flow_id}: row dropped")
-                    rejected += 1
-                else:
-                    seen.add(r.flow_id)
-                    kept.append(r)
-            raw = kept
-        raw.sort(key=lambda r: (r.start_time, r.flow_id))
-        records = [FlowRecord(*r) for r in raw]
+    if "flow_id" in schema:
+        unique: dict[int, _ParsedRow] = {}
+        for r in raw:
+            if unique.setdefault(r.flow_id, r) is not r:
+                diagnostics.append(f"duplicate flow_id {r.flow_id}: row dropped")
+        records = [FlowRecord(*r) for r in sorted(
+            unique.values(), key=lambda r: (r.start_time, r.flow_id))]
     else:
-        # No id column: sort by full content so identical inputs in any row
-        # order produce identical sequences, then assign sequential ids.
-        # The content is the fields from start_time to tcp_flags.
+        # No id column: sort by content, the fields from start_time to
+        # tcp_flags, so any row order gives the same sequential ids.
         raw.sort(key=lambda r: r[1:13])
         records = [FlowRecord(i, *r[1:]) for i, r in enumerate(raw)]
 
-    return LoadResult(tuple(records), len(records), rejected, tuple(diagnostics))
+    return LoadResult(tuple(records), len(records),
+                      len(diagnostics), tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +332,8 @@ def fit_codec(records: Sequence[FlowRecord]) -> FeatureCodec:
     """Fit means/stds (population) and the protocol vocabulary on a split."""
     if not records:
         raise ValueError("cannot fit codec on empty split")
-    columns = np.array([[float(getattr(r, f)) for f in NUMERIC_FEATURES]
-                        for r in records])
+    columns = np.array(list(map(attrgetter(*NUMERIC_FEATURES), records)),
+                       dtype=np.float64)
     means = columns.mean(axis=0)
     stds = np.maximum(columns.std(axis=0), 1e-8)
     protocols = tuple(sorted({r.protocol for r in records}))
@@ -490,12 +478,9 @@ def read_flow_cache(path: str | Path) -> tuple[FlowRecord, ...]:
             enumerate(struct.iter_unpack(_RECORD_FMT, block)):
         try:
             records.append(FlowRecord(
-                flow_id=flow_id, start_time=start_time, end_time=end,
-                src_ip=keys[src_k], dst_ip=keys[dst_k],
-                src_port=sport, dst_port=dport, protocol=proto,
-                in_bytes=in_b, out_bytes=out_b, in_pkts=in_p, out_pkts=out_p,
-                tcp_flags=flags, duration=duration, label=label,
-                attack_name=None if name_idx == _NO_NAME else names[name_idx]))
+                flow_id, start_time, end, keys[src_k], keys[dst_k], sport,
+                dport, proto, in_b, out_b, in_p, out_p, flags, duration, label,
+                None if name_idx == _NO_NAME else names[name_idx]))
         except IndexError:
             raise FormatError(f"{path}: record at offset "
                              f"{start + i * _RECORD_SIZE} names a key or "

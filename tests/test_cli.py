@@ -102,6 +102,39 @@ class TestIngest:
             assert f"reject: line {line}:" in captured.err
         assert [r.flow_id for r in read_flow_cache(out)] == [1]
 
+    def test_short_row_rejected_per_row(self, tmp_path, capsys):
+        records = temporal_pattern(n_windows=3, seed=2)
+        csv_path = records_to_csv(records, tmp_path / "f.csv")
+        lines = csv_path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:5])
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(["ingest", "--input", str(csv_path), "--schema",
+                     str(write_schema(tmp_path / "s.txt")), "--out",
+                     str(tmp_path / "f.pptf")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert f"accepted {len(records) - 1} rejected 1" in captured.out
+        assert "reject: line 4: short row (5 cells)" in captured.err
+
+    @pytest.mark.parametrize("fault", ["oversized-cell", "invalid-utf8"])
+    def test_unreadable_csv_exit_two_names_file(self, tmp_path, capsys, fault):
+        records = temporal_pattern(n_windows=3, seed=2)
+        csv_path = records_to_csv(records, tmp_path / "f.csv")
+        raw = csv_path.read_bytes()
+        at = raw.index(b"\n", raw.index(b"\n") + 1) + 1  # line 3 starts here
+        raw = raw[:at] + (b"x" * 200_000 + b"," if fault == "oversized-cell"
+                          else b"\xff") + raw[at:]
+        csv_path.write_bytes(raw)
+        code = main(["ingest", "--input", str(csv_path), "--schema",
+                     str(write_schema(tmp_path / "s.txt")), "--out",
+                     str(tmp_path / "f.pptf")])
+        assert code == 2
+        assert (f"{csv_path}: line 3: field larger than field limit"
+                if fault == "oversized-cell" else
+                f"{csv_path}: invalid UTF-8 in flow CSV at offset {at}") \
+            in capsys.readouterr().err
+        assert not (tmp_path / "f.pptf").exists()
+
     def test_reingest_byte_identical(self, tmp_path):
         records = temporal_pattern(n_windows=3, seed=3)
         csv_path = records_to_csv(records, tmp_path / "f.csv")

@@ -1,14 +1,26 @@
+import contextlib
+import csv
+import io
+import re
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mk_flow, sort_flows
+from flowgnn import cli
 from flowgnn.ingest import (BENIGN_NAME, FeatureCodec, FormatError,
-                            LabelVocabulary, NUMERIC_FEATURES, SchemaError,
+                            LabelVocabulary, NUMERIC_FEATURES,
+                            OPTIONAL_FIELDS, REQUIRED_FIELDS, SchemaError,
                             UNLABELED, build_label_vocabulary, encode_flows,
                             fit_codec, label_records, load_flow_csv,
                             read_flow_cache, strip_labels, write_flow_cache)
+from flowgnn.synth import CSV_SCHEMA, write_schema_file
+import reference_ops
 from reference_ops import encode_flow
 
 
@@ -90,6 +102,39 @@ class TestLoadCsv:
         bad = row(0.0, 1.0).replace(",1000,", ",70000,")
         result = load_flow_csv(write_csv(tmp_path, [bad]), SCHEMA)
         assert result.rejected == 1 and "src_port" in result.diagnostics[0]
+
+    def test_short_rows_rejected_naming_line(self, tmp_path):
+        # end_time's column comes last: a row lacking only it is short
+        header = HEADER.replace("ts_end,", "") + ",ts_end,note"
+        full = [f"{i}.0,a,b,1000,80,6,100,50,3,2,18,,{i}.5,x".split(",")
+                for i in range(4)]
+        rows = [",".join(cells) for cells in
+                (full[0][:5], full[1], full[2][:-1], full[3][:-2])]
+        result = load_flow_csv(write_csv(tmp_path, rows, header=header), SCHEMA)
+        assert result.accepted == 2
+        assert result.diagnostics == ("line 2: short row (5 cells)",
+                                      "line 5: short row (12 cells)")
+
+    def test_row_without_timestamp_cells_picks_no_parser(self, tmp_path):
+        iso = row("2024-01-01T00:00:00", "2024-01-01T00:00:02")
+        result = load_flow_csv(write_csv(tmp_path, ["1", iso]), SCHEMA)
+        assert result.accepted == 1 and result.rejected == 1
+        assert result.records[0].duration == 2.0
+
+    def test_diagnostics_name_physical_lines(self, tmp_path):
+        path = write_csv(tmp_path, [row(0.0, 1.0), "", "", row(5.0, 2.0)])
+        result = load_flow_csv(path, SCHEMA)
+        assert result.accepted == 1
+        assert result.diagnostics == ("line 5: end_time 2.0 < start_time 5.0",)
+
+    def test_oversized_cell_is_format_error_naming_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = write_csv(tmp_path, [row(0.0, 1.0),
+                                    row(1.0, 2.0, src="h" * (limit + 1))])
+        with pytest.raises(FormatError, match=r"flows\.csv: line 3: field "
+                                              r"larger than field limit"):
+            load_flow_csv(path, SCHEMA)
+        assert csv.field_size_limit() == limit
 
     def test_attack_names_become_labels(self, tmp_path):
         path = write_csv(tmp_path, [row(0.0, 1.0, attack="Benign"),
@@ -338,3 +383,147 @@ def test_encode_flows_matches_per_record_encoding(rows, extra_protocols, fit_on)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
     assert encode_flows((), codec).shape == (0, codec.feature_dim)
+
+
+# ---------------------------------------------------------------------------
+# generated and damaged CSVs
+
+#: cells that no field parses, or that break a record invariant
+BAD_CELLS = ("", "x", "nan", "inf", "-1", "1e3", " 7 ", "0x10", "70000",
+             "2024-13-01", str(2 ** 64))
+
+
+@st.composite
+def flow_csvs(draw):
+    """(CSV text, schema): every mapped column, optional ones or not, some
+    header names repeated (the last counts), epoch or ISO timestamps, ids
+    that repeat, and bad cells; no blank lines and no short rows."""
+    optional = draw(st.lists(st.sampled_from(OPTIONAL_FIELDS), unique=True))
+    schema = {field: f"c_{field}" for field in (*REQUIRED_FIELDS, *optional)}
+    extra = draw(st.lists(st.sampled_from([*schema.values(), "note"]),
+                          max_size=3))
+    header = draw(st.permutations([*schema.values(), *extra]))
+    field_of = {column: field for field, column in schema.items()}
+    last = {column: i for i, column in enumerate(header)}
+    iso = {f: draw(st.booleans()) for f in ("start_time", "end_time")}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.floats(0, 1e6, allow_subnormal=False))
+        length = draw(st.sampled_from([0.0, 0.5, 3.25]))
+        good = {
+            "start_time": start, "end_time": start + length,
+            "duration": draw(st.sampled_from([length, length + 1.0])),
+            "attack_name": draw(st.sampled_from(["", "Benign", " Dos ", "Scan"])),
+            "flow_id": draw(st.integers(0, 4)),
+            "src_ip": draw(st.sampled_from(["a", "b", "c,d", 'q"t'])),
+            "dst_ip": draw(st.sampled_from(["a", "sink"])),
+            "src_port": draw(st.integers(0, 65535)), "dst_port": 80,
+            "protocol": draw(st.sampled_from([6, 17])),
+            "in_bytes": draw(st.integers(0, 2 ** 63 - 1)), "out_bytes": 50,
+            "in_pkts": 3, "out_pkts": 2, "tcp_flags": draw(st.integers(0, 255)),
+            "label": draw(st.integers(-1, 3)),
+        }
+        for field in ("start_time", "end_time"):
+            if iso[field]:
+                dt = datetime.fromtimestamp(good[field], timezone.utc)
+                good[field] = (dt if draw(st.booleans())
+                               else dt.replace(tzinfo=None)).isoformat()
+        spoiled = draw(st.sets(st.integers(0, len(header) - 1), max_size=2))
+        writer.writerow([
+            draw(st.sampled_from(BAD_CELLS)) if i in spoiled
+            else "junk" if last[column] != i or column not in field_of
+            else good[field_of[column]] for i, column in enumerate(header)])
+    return out.getvalue(), schema
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_csvs())
+def test_generated_csvs_load_like_the_dictreader_loader(generated):
+    """The field-table loader gives the `LoadResult` of the DictReader
+    loader it replaced, on CSVs without blank lines or short rows."""
+    text, schema = generated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "flows.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert load_flow_csv(path, schema) == \
+            reference_ops.load_flow_csv(path, schema)
+
+
+def test_first_bad_cell_reported_as_by_the_dictreader_loader(tmp_path):
+    """Of any two bad cells in a row, both loaders report the same one:
+    the fields convert in the same order."""
+    schema = {field: f"c_{field}" for field in (*REQUIRED_FIELDS,
+                                                *OPTIONAL_FIELDS)}
+    good = {"start_time": "0.0", "end_time": "1.0", "duration": "1.0",
+            "flow_id": "0", "label": "0"}
+    cells = [good.get(field, "1") for field in schema]
+    rows = []
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            row = list(cells)
+            row[i], row[j] = f"bad{i}", f"bad{j}"
+            rows.append(",".join(row))
+    path = write_csv(tmp_path, rows, header=",".join(schema.values()))
+    result = load_flow_csv(path, schema)
+    assert result.rejected > len(rows) // 2
+    assert result == reference_ops.load_flow_csv(path, schema)
+
+
+def _valid_rows():
+    return [list(CSV_SCHEMA.values())] + [
+        [repr(i * 1.5), repr(i * 1.5 + 0.5), f"h{i % 3}", "sink", "1000",
+         "80", "6", "100", "50", "3", "2", "18", "Dos" if i % 2 else "Benign"]
+        for i in range(6)]
+
+
+#: replacement cells: empty, quoted, NUL, non-ASCII and oversized ones
+ODD_CELLS = ("", '"', 'a"b', "a,b", "a\nb", "\x00", "é", "日本", "٣",
+             "1" * (csv.field_size_limit() + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+           st.sampled_from(["cut", "extend", "cell", "blank"]),
+           st.integers(0, 6), st.integers(0, 14),
+           st.one_of(st.sampled_from(ODD_CELLS),
+                     st.text(st.characters(blacklist_categories=("Cs",)),
+                             max_size=4))),
+           max_size=4),
+       st.booleans(), st.one_of(st.none(), st.integers(0, 2000)))
+def test_damaged_csv_ingest_exits_zero_or_two(damage, quote_all, bad_byte):
+    """`flowgnn ingest` of a damaged CSV returns 0 or 2 and never raises;
+    on 0 every non-empty data row is accepted or rejected."""
+    rows = _valid_rows()
+    for op, at, cell, text in damage:
+        if op == "cut":
+            rows[at] = rows[at][:cell]
+        elif op == "extend":
+            rows[at] = rows[at] + [text] * (cell % 3 + 1)
+        elif op == "cell" and cell < len(rows[at]):
+            rows[at][cell] = text
+        elif op == "blank":
+            rows.insert(at, [])
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL,
+               lineterminator="\n").writerows(rows)
+    raw = out.getvalue().encode("utf-8")
+    if bad_byte is not None:
+        at = min(bad_byte, len(raw))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "flows.csv").write_bytes(raw)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["ingest", "--input", str(tmp / "flows.csv"),
+                             "--schema", str(write_schema_file(tmp / "s.txt")),
+                             "--out", str(tmp / "flows.pptf")])
+    assert code in (0, 2), stderr.getvalue()
+    if code == 0:
+        data_rows = sum(1 for cells in list(csv.reader(
+            io.StringIO(raw.decode("utf-8"), newline="")))[1:] if cells)
+        accepted, rejected = map(int, re.search(
+            r"accepted (\d+) rejected (\d+)", stdout.getvalue()).groups())
+        assert accepted + rejected == data_rows
