@@ -2,10 +2,11 @@
 
 Subcommands: ingest, pretrain, train, finetune, evaluate, ablate, fewshot.
 Configuration is a flat ``key = value`` file with section prefixes
-(graph.window_size, train.lr, ...); flag values override file values
-override defaults, and the fully resolved config (with per-key provenance)
+(graph.window_size, train.lr, ...). Precedence: flag > file > PPT_SEED
+(seed only) > default; the fully resolved config (with per-key provenance)
 is echoed into every output directory. Exit codes: 0 success, 2
-usage/config error, 3 checkpoint/codec compatibility error, 4 empty data.
+usage/config/file error or a diverging run, 3 checkpoint/codec
+compatibility error, 4 empty data.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .experiments import (ExperimentData, FewShotPlan, ablation_suite,
                           fewshot, prepare_splits)
-from .ingest import (FeatureCodec, NUMERIC_FEATURES, SchemaError,
+from .ingest import (FeatureCodec, FormatError, NUMERIC_FEATURES,
                      build_label_vocabulary, label_records, load_flow_csv,
                      read_flow_cache, strip_labels, write_flow_cache,
                      LabelVocabulary, encode_flows, fit_codec)
@@ -75,9 +76,13 @@ DEFAULTS = {
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 in key-value file at "
+                          f"offset {exc.start}") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8")
-                                  .splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -96,104 +101,101 @@ RESERVED_KEYS = {"pretrain.mode", "pretrain.target"}
 
 @dataclass
 class RunConfig:
+    """A command's resolved config and the run identity fixed from it when
+    the run opens: the seed, the run id (a digest of the resolved text plus
+    the seed) and the output directory."""
+
     values: dict
     provenance: dict
+    seed: int = field(init=False)
+    run_id: str = field(init=False)
+    out_dir: Path = field(init=False)
+
+    def __post_init__(self):
+        # parsed as an int config field and checked to be a 64-bit seed,
+        # since `Rng` would alias any other value to one
+        self.seed = parse_config_text("seed", self.values["seed"], int)
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        self.run_id = run_id_for(self.text(), self.seed)
+        self.out_dir = Path(self.values["io.out_dir"])
 
     def text(self) -> str:
         """Resolved `key = value` lines; valid --config input for a rerun."""
         lines = [f"{k} = {self.values[k]}" for k in sorted(self.values)]
         return "\n".join(lines) + "\n"
 
-    def provenance_text(self) -> str:
-        lines = [f"{k} = {self.provenance[k]}" for k in sorted(self.values)]
-        return "\n".join(lines) + "\n"
+    def path(self, stem: str, suffix: str) -> Path:
+        """The output file `<stem>-<run id><suffix>` of this run."""
+        return self.out_dir / f"{stem}-{self.run_id}{suffix}"
 
-    @property
-    def seed(self) -> int:
-        """The `seed` key, parsed as an int config field and checked to be
-        a 64-bit seed, since `Rng` would alias any other value to one."""
-        seed = parse_config_text("seed", self.values["seed"], int)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        return seed
+    def echo(self) -> None:
+        """Make the output directory and write the resolved config (reusable
+        via --config) plus a provenance sidecar recording where each value
+        came from (flag | file | env | default)."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.path("config", ".resolved").write_text(self.text(),
+                                                    encoding="utf-8")
+        self.path("provenance", ".txt").write_text(
+            "".join(f"{k} = {self.provenance[k]}\n" for k in
+                    sorted(self.values)), encoding="utf-8")
 
-    def graph_config(self) -> GraphBuildConfig:
-        return config_from_items(GraphBuildConfig, "graph", self.values)
-
-    def model_config(self, num_classes: int) -> ModelConfig:
-        return config_from_items(ModelConfig, "model", self.values,
-                                 num_classes=num_classes)
+    def section(self, cls, prefix: str, **given):
+        """The `cls` config of the `prefix.*` keys, `given` fields set."""
+        return config_from_items(cls, prefix, self.values, **given)
 
     def train_config(self) -> TrainConfig:
-        return config_from_items(TrainConfig, "train", self.values,
-                                 seed=self.seed)
+        return self.section(TrainConfig, "train", seed=self.seed)
 
     def finetune_config(self) -> TrainConfig:
         """`train.*` with `finetune.epochs` and `finetune.lr` replaced in."""
-        finetune = config_from_items(FinetuneConfig, "finetune", self.values)
+        finetune = self.section(FinetuneConfig, "finetune")
         return replace(self.train_config(), epochs=finetune.epochs,
                        lr=finetune.lr)
 
-    def pretrain_config(self) -> PretrainConfig:
-        return config_from_items(PretrainConfig, "pretrain", self.values)
 
-    def fewshot_plan(self) -> FewShotPlan:
-        return config_from_items(FewShotPlan, "fewshot", self.values)
-
-
-def resolve_config(config_path: str | None, overrides: dict,
-                   seed_flag: int | None, extra: dict) -> RunConfig:
+def open_run(args, **own) -> RunConfig:
+    """The config of the command `args` parsed to: defaults < PPT_SEED (seed
+    only) < --config file < --set < --seed, then `io.out_dir`, `run.command`
+    and the command's `own` identity keys, which only its flags set."""
     values = dict(DEFAULTS)
-    provenance = {k: "default" for k in DEFAULTS}
-    if config_path:
-        for key, value in parse_kv_file(config_path).items():
+    provenance = dict.fromkeys(DEFAULTS, "default")
+
+    def put(key, value, source):
+        values[key] = value
+        provenance[key] = source
+
+    if args.config:
+        for key, value in parse_kv_file(args.config).items():
             if key not in DEFAULTS and key not in RESERVED_KEYS \
                     and not key.startswith(RESERVED_PREFIXES):
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = value
-            provenance[key] = "file"
+            put(key, value, "file")
     env_seed = os.environ.get("PPT_SEED")
     if env_seed is not None and provenance["seed"] == "default":
-        values["seed"] = env_seed
-        provenance["seed"] = "env"
-    for key, value in overrides.items():
-        if key not in DEFAULTS:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = value
-        provenance[key] = "flag"
-    if seed_flag is not None:
-        values["seed"] = str(seed_flag)
-        provenance["seed"] = "flag"
-    for key, value in extra.items():
-        values[key] = value
-        provenance[key] = "flag"
-    return RunConfig(values, provenance)
-
-
-def _overrides(args) -> dict:
-    out = {}
+        put("seed", env_seed, "env")
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        out[key.strip()] = value.strip()
-    return out
+        if key.strip() not in DEFAULTS:
+            raise ValueError(f"unknown config key {key.strip()!r}")
+        put(key.strip(), value.strip(), "flag")
+    if args.seed is not None:
+        put("seed", str(args.seed), "flag")
+    for key, value in {"io.out_dir": args.out_dir, "run.command": args.command,
+                       **own}.items():
+        put(key, value, "flag")
+    return RunConfig(values, provenance)
 
 
-def _echo_config(config: RunConfig, out_dir: Path, run_id: str) -> None:
-    """Resolved config (reusable via --config) plus a provenance sidecar
-    recording where each value came from (flag | file | env | default)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"config-{run_id}.resolved").write_text(config.text(),
-                                                       encoding="utf-8")
-    (out_dir / f"provenance-{run_id}.txt").write_text(
-        config.provenance_text(), encoding="utf-8")
-
-
-def _load_labeled_cache(path: str):
-    records = read_flow_cache(path)
+def _labeled_splits(records, graph_config: GraphBuildConfig, split,
+                    protocol_vocab=None) -> ExperimentData:
+    """Records read from a cache, labelled by their own attack names and
+    split chronologically into graph sequences."""
     vocab = build_label_vocabulary(records)
-    return label_records(records, vocab), vocab
+    return prepare_splits(label_records(records, vocab), vocab, graph_config,
+                          split, protocol_vocab=protocol_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +221,18 @@ def _neutral_codec(protocol_vocab: tuple[int, ...]) -> FeatureCodec:
                         tuple(protocol_vocab))
 
 
-def _pretrain_from(pretrain_config: PretrainConfig, seed: int, mode: str,
-                   target: str | None, datasets, model_config: ModelConfig,
+def _pretrain_from(config: RunConfig, mode: str, target: str | None,
+                   datasets, model_config: ModelConfig,
                    graph_config: GraphBuildConfig, protocol_vocab):
-    """Link-prediction pre-training with `pretrain_config` on the
-    label-stripped graphs of `datasets`, (id, cache path, records) triples,
-    each encoded by its own codec with the shared `protocol_vocab`.
+    """Link-prediction pre-training with the `pretrain.*` keys and seed of
+    `config` on the label-stripped graphs of `datasets`, (id, cache path,
+    records) triples, each encoded by its own codec with the shared
+    `protocol_vocab`.
 
     Returns (corpus, graph count, FitResult)."""
-    corpus = PretrainCorpus(datasets=tuple((ds, path) for ds, path, _ in
-                                           datasets),
-                            mode=mode, target_dataset=target)
+    pretrain_config = config.section(PretrainConfig, "pretrain")
+    corpus = PretrainCorpus(tuple((ds, path) for ds, path, _ in datasets),
+                            mode, target)
     graphs = []
     for _, _, records in datasets:
         recs = strip_labels(records)
@@ -238,58 +241,61 @@ def _pretrain_from(pretrain_config: PretrainConfig, seed: int, mode: str,
                                             encode_flows(recs, codec)))
     result = pretrain(corpus, graphs, model_config, graph_config,
                       _neutral_codec(protocol_vocab).feature_dim,
-                      **asdict(pretrain_config), seed=seed)
+                      **asdict(pretrain_config), seed=config.seed)
     return corpus, len(graphs), result
 
 
 def cmd_pretrain(args) -> int:
-    config = resolve_config(args.config, _overrides(args), args.seed, {
-        "io.out_dir": args.out_dir, "run.command": "pretrain",
-        "io.caches": ",".join(args.cache), "pretrain.mode": args.mode,
-        "pretrain.target": args.target_dataset or "-",
-    })
-    out_dir = Path(args.out_dir)
-    run_id = run_id_for(config.text(), config.seed)
+    config = open_run(args, **{"io.caches": ",".join(args.cache),
+                               "pretrain.mode": args.mode,
+                               "pretrain.target": args.target_dataset or "-"})
     datasets = [(Path(p).stem, p, read_flow_cache(p)) for p in args.cache]
     protocol_vocab = tuple(sorted({r.protocol for _, _, recs in datasets
                                    for r in recs}))
-    graph_config = config.graph_config()
-    model_config = config.model_config(num_classes=2)
+    graph_config = config.section(GraphBuildConfig, "graph")
+    model_config = config.section(ModelConfig, "model", num_classes=2)
     corpus, n_graphs, result = _pretrain_from(
-        config.pretrain_config(), config.seed, args.mode, args.target_dataset,
-        datasets, model_config, graph_config, protocol_vocab)
-    metadata = build_metadata(model_config, graph_config,
-                              _neutral_codec(protocol_vocab),
-                              LabelVocabulary(("Benign",)), extra={
-                                  "checkpoint.kind": "pretrain",
-                                  "pretrain.manifest":
-                                      json.dumps(corpus.manifest_text()),
-                              })
-    _echo_config(config, out_dir, run_id)
-    ckpt = out_dir / f"checkpoint-{run_id}.pptg"
+        config, args.mode, args.target_dataset, datasets, model_config,
+        graph_config, protocol_vocab)
+    metadata = build_metadata(
+        model_config, graph_config, _neutral_codec(protocol_vocab),
+        LabelVocabulary(("Benign",)), extra={
+            "checkpoint.kind": "pretrain",
+            "pretrain.manifest": json.dumps(corpus.manifest_text())})
+    config.echo()
+    ckpt = config.path("checkpoint", ".pptg")
     save_checkpoint(result.params, metadata, ckpt)
-    write_epoch_log_csv(result.log, out_dir / f"pretrain_log-{run_id}.csv")
+    write_epoch_log_csv(result.log, config.path("pretrain_log", ".csv"))
     write_timing_csv({"pretrain": result.seconds},
-                     out_dir / f"timing-{run_id}.csv")
-    (out_dir / f"manifest-{run_id}.txt").write_text(corpus.manifest_text(),
-                                                    encoding="utf-8")
+                     config.path("timing", ".csv"))
+    config.path("manifest", ".txt").write_text(corpus.manifest_text(),
+                                               encoding="utf-8")
     final = result.log[-1]
     print(f"pretrained {n_graphs} graphs, final loss "
           f"{final['loss']:.4f} acc {final['accuracy']:.3f} -> {ckpt}")
     return EXIT_OK
 
 
-def _train_and_report(config: RunConfig, out_dir: Path, run_id: str,
-                      data: ExperimentData, params, model_config,
-                      graph_config, train_config, extra_meta) -> int:
+def _report(config: RunConfig, report, vocab: LabelVocabulary,
+            latencies: list[float], scope: str) -> int:
+    paths = write_report_files(report, vocab, config.path,
+                               f"evaluation ({config.run_id})", latencies)
+    print(f"{scope}multiclass macro F1 {report.multiclass_macro_f1:.4f} "
+          f"-> {paths['metrics']}")
+    return EXIT_OK
+
+
+def _train_and_report(config: RunConfig, data: ExperimentData, params,
+                      model_config, graph_config, train_config,
+                      extra_meta) -> int:
     result = train(data.train_graphs, data.val_graphs, data.labels, params,
                    train_config, model_config, graph_config)
     metadata = build_metadata(model_config, graph_config, data.codec,
                               data.vocab, extra=extra_meta)
-    _echo_config(config, out_dir, run_id)
-    ckpt = out_dir / f"checkpoint-{run_id}.pptg"
+    config.echo()
+    ckpt = config.path("checkpoint", ".pptg")
     save_checkpoint(result.params, metadata, ckpt)
-    write_epoch_log_csv(result.log, out_dir / f"epochs-{run_id}.csv")
+    write_epoch_log_csv(result.log, config.path("epochs", ".csv"))
     print(f"trained {train_config.epochs} epochs -> {ckpt}")
     latencies: list[float] = []
     try:
@@ -298,64 +304,49 @@ def _train_and_report(config: RunConfig, out_dir: Path, run_id: str,
                           result.seconds, latencies)
     except EmptyDataError:
         write_timing_csv({"train": result.seconds},
-                         out_dir / f"timing-{run_id}.csv")
+                         config.path("timing", ".csv"))
         print("no labeled test flows; skipping evaluation")
         return EXIT_OK
-    paths = write_report_files(report, data.vocab, out_dir, run_id,
-                               f"evaluation ({run_id})", latencies)
-    print(f"test multiclass macro F1 {report.multiclass_macro_f1:.4f} "
-          f"-> {paths['metrics']}")
-    return EXIT_OK
+    return _report(config, report, data.vocab, latencies, "test ")
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(args.config, _overrides(args), args.seed, {
-        "io.cache": args.cache, "io.out_dir": args.out_dir,
-        "run.command": "train",
-    })
-    run_id = run_id_for(config.text(), config.seed)
-    records, vocab = _load_labeled_cache(args.cache)
-    graph_config = config.graph_config()
-    model_config = config.model_config(max(2, vocab.num_classes))
+    config = open_run(args, **{"io.cache": args.cache})
+    graph_config = config.section(GraphBuildConfig, "graph")
     train_config = config.train_config()
-    data = prepare_splits(records, vocab, graph_config, train_config.split)
+    data = _labeled_splits(read_flow_cache(args.cache), graph_config,
+                           train_config.split)
+    model_config = config.section(ModelConfig, "model",
+                                  num_classes=max(2, data.vocab.num_classes))
     params = init_params(model_config, data.codec.feature_dim, graph_config,
                          Rng(config.seed).child("train"))
-    return _train_and_report(config, Path(args.out_dir), run_id, data, params,
-                             model_config, graph_config, train_config,
-                             {"checkpoint.kind": "supervised",
-                              "provenance": "scratch"})
+    return _train_and_report(config, data, params, model_config, graph_config,
+                             train_config, {"checkpoint.kind": "supervised",
+                                            "provenance": "scratch"})
 
 
 def cmd_finetune(args) -> int:
-    config = resolve_config(args.config, _overrides(args), args.seed, {
-        "io.cache": args.cache, "io.out_dir": args.out_dir,
-        "io.from_checkpoint": args.from_checkpoint, "run.command": "finetune",
-    })
-    run_id = run_id_for(config.text(), config.seed)
+    config = open_run(args, **{"io.cache": args.cache,
+                               "io.from_checkpoint": args.from_checkpoint})
+    train_config = config.finetune_config()
     base_params, meta = load_checkpoint(args.from_checkpoint)
     base_model, graph_config, base_codec, _ = configs_from_metadata(meta)
-    records, vocab = _load_labeled_cache(args.cache)
-    model_config = replace(base_model, num_classes=max(2, vocab.num_classes))
-    train_config = config.finetune_config()
-    data = prepare_splits(records, vocab, graph_config, train_config.split,
-                          protocol_vocab=base_codec.protocol_vocab)
+    data = _labeled_splits(read_flow_cache(args.cache), graph_config,
+                           train_config.split, base_codec.protocol_vocab)
+    model_config = replace(base_model,
+                           num_classes=max(2, data.vocab.num_classes))
     params = transfer_weights(base_params, model_config, graph_config,
                               data.codec.feature_dim,
                               Rng(config.seed).child("finetune"))
     provenance = meta.get("pretrain.manifest", json.dumps("scratch"))
-    return _train_and_report(config, Path(args.out_dir), run_id, data, params,
-                             model_config, graph_config, train_config,
-                             {"checkpoint.kind": "supervised",
-                              "provenance": provenance})
+    return _train_and_report(config, data, params, model_config, graph_config,
+                             train_config, {"checkpoint.kind": "supervised",
+                                            "provenance": provenance})
 
 
 def cmd_evaluate(args) -> int:
-    config = resolve_config(args.config, _overrides(args), args.seed, {
-        "io.cache": args.cache, "io.out_dir": args.out_dir,
-        "io.checkpoint": args.checkpoint, "run.command": "evaluate",
-    })
-    run_id = run_id_for(config.text(), config.seed)
+    config = open_run(args, **{"io.cache": args.cache,
+                               "io.checkpoint": args.checkpoint})
     params, meta = load_checkpoint(args.checkpoint)
     if meta.get("checkpoint.kind") != "supervised":
         raise CompatibilityError("checkpoint is not a supervised model")
@@ -372,76 +363,62 @@ def cmd_evaluate(args) -> int:
     latencies: list[float] = []
     report = evaluate(params, graphs, vocab, labels, model_config,
                       graph_config, latencies=latencies)
-    out_dir = Path(args.out_dir)
-    _echo_config(config, out_dir, run_id)
-    paths = write_report_files(report, vocab, out_dir, run_id,
-                               f"evaluation ({run_id})", latencies)
-    print(f"multiclass macro F1 {report.multiclass_macro_f1:.4f} "
-          f"-> {paths['metrics']}")
-    return EXIT_OK
+    config.echo()
+    return _report(config, report, vocab, latencies, "")
 
 
 def cmd_ablate(args) -> int:
-    config = resolve_config(args.config, _overrides(args), args.seed, {
-        "io.cache": args.cache, "io.out_dir": args.out_dir,
-        "run.command": "ablate",
-    })
-    run_id = run_id_for(config.text(), config.seed)
-    records, vocab = _load_labeled_cache(args.cache)
-    graph_config = config.graph_config()
-    model_config = config.model_config(max(2, vocab.num_classes))
+    config = open_run(args, **{"io.cache": args.cache})
+    graph_config = config.section(GraphBuildConfig, "graph")
     train_config = config.train_config()
-    data = prepare_splits(records, vocab, graph_config, train_config.split)
+    data = _labeled_splits(read_flow_cache(args.cache), graph_config,
+                           train_config.split)
+    model_config = config.section(ModelConfig, "model",
+                                  num_classes=max(2, data.vocab.num_classes))
     results = ablation_suite(data, model_config, graph_config, train_config,
-                             config.pretrain_config())
-    out_dir = Path(args.out_dir)
-    _echo_config(config, out_dir, run_id)
-    write_ablation_csv(results, out_dir / f"ablation-{run_id}.csv")
+                             config.section(PretrainConfig, "pretrain"))
+    config.echo()
+    write_ablation_csv(results, config.path("ablation", ".csv"))
     write_timing_csv({name: r.train_seconds for name, r in results},
-                     out_dir / f"timing-{run_id}.csv")
+                     config.path("timing", ".csv"))
     for name, report in results:
         print(f"{name}: multiclass macro F1 {report.multiclass_macro_f1:.4f}")
     return EXIT_OK
 
 
 def cmd_fewshot(args) -> int:
-    config = resolve_config(args.config, _overrides(args), args.seed, {
-        "io.cache": args.cache, "io.out_dir": args.out_dir,
-        "io.pretrain_caches": ",".join(args.pretrain_cache or []),
-        "run.command": "fewshot",
-    })
-    run_id = run_id_for(config.text(), config.seed)
-    records, vocab = _load_labeled_cache(args.cache)
-    graph_config = config.graph_config()
-    model_config = config.model_config(max(2, vocab.num_classes))
+    config = open_run(args, **{"io.cache": args.cache, "io.pretrain_caches":
+                               ",".join(args.pretrain_cache)})
+    graph_config = config.section(GraphBuildConfig, "graph")
     train_config = config.train_config()
     finetune_config = config.finetune_config()
-    pretrain_config = config.pretrain_config()
-    plan = config.fewshot_plan()
+    plan = config.section(FewShotPlan, "fewshot")
 
+    records = read_flow_cache(args.cache)
     target = (Path(args.cache).stem, args.cache, records)
     ooc_datasets = [(Path(p).stem, p, read_flow_cache(p))
-                    for p in args.pretrain_cache or []]
+                    for p in args.pretrain_cache]
     if "out-of-context" in plan.modes and not ooc_datasets:
         raise ValueError("out-of-context mode requires --pretrain-cache")
     protocol_vocab = tuple(sorted({r.protocol for _, _, recs in
                                    [target, *ooc_datasets] for r in recs}))
-    data = prepare_splits(records, vocab, graph_config, train_config.split,
-                          protocol_vocab=protocol_vocab)
-    feature_dim = data.codec.feature_dim
+    data = _labeled_splits(records, graph_config, train_config.split,
+                           protocol_vocab)
+    model_config = config.section(ModelConfig, "model",
+                                  num_classes=max(2, data.vocab.num_classes))
 
     # in-context: the target network's own unlabeled traffic
     corpora = {"in-context": [target], "out-of-context": ooc_datasets}
     bases: dict[str, dict | None] = {"none": None}
     for mode, datasets in corpora.items():
         if mode in plan.modes:
-            bases[mode] = _pretrain_from(pretrain_config, config.seed, mode,
-                                         target[0], datasets, model_config,
-                                         graph_config, protocol_vocab)[2].params
+            bases[mode] = _pretrain_from(config, mode, target[0], datasets,
+                                         model_config, graph_config,
+                                         protocol_vocab)[2].params
 
     if plan.reference_score == 0:
-        params = init_params(model_config, feature_dim, graph_config,
-                             Rng(config.seed).child("reference"))
+        params = init_params(model_config, data.codec.feature_dim,
+                             graph_config, Rng(config.seed).child("reference"))
         result = train(data.train_graphs, data.val_graphs, data.labels,
                        params, train_config, model_config, graph_config)
         reference = evaluate(result.params, data.test_graphs, data.vocab,
@@ -452,10 +429,9 @@ def cmd_fewshot(args) -> int:
 
     rows = fewshot(plan, bases, data, model_config, graph_config,
                    finetune_config, config.seed)
-    out_dir = Path(args.out_dir)
-    _echo_config(config, out_dir, run_id)
-    write_fewshot_csv(rows, out_dir / f"fewshot-{run_id}.csv")
-    write_fewshot_timing_csv(rows, out_dir / f"fewshot_timing-{run_id}.csv")
+    config.echo()
+    write_fewshot_csv(rows, config.path("fewshot", ".csv"))
+    write_fewshot_timing_csv(rows, config.path("fewshot_timing", ".csv"))
     for row in rows:
         print(f"fraction {row['fraction']:<5} mode {row['mode']:<15} "
               f"macro F1 {row['macro_f1']:.4f} loss {row['pct_loss']:.1f}%")
@@ -514,26 +490,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fewshot", help="few-shot fine-tuning protocol")
     p.add_argument("--cache", required=True)
-    p.add_argument("--pretrain-cache", action="append",
+    p.add_argument("--pretrain-cache", action="append", default=[],
                    help="out-of-context corpus cache (repeatable)")
     common(p, cmd_fewshot)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CompatibilityError as exc:
+    except (ValueError, OSError) as exc:  # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPAT
-    except EmptyDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (SchemaError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_COMPAT if isinstance(exc, CompatibilityError) else
+                EXIT_EMPTY if isinstance(exc, EmptyDataError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -661,7 +661,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]
     """Inverse of `save_checkpoint`. A file that ends early, has a length
     field pointing past its end, invalid UTF-8 in its metadata or a tensor
     name, or bytes after the last tensor raises FormatError with the byte
-    offset."""
+    offset; a tensor holding NaN or infinity raises CompatibilityError."""
     reader = ByteReader(path, "checkpoint")
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -680,6 +680,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict[str, str]
             raise FormatError(f"{path}: unknown dtype tag {dtype} for {name!r}")
         dims = reader.unpack(f"<{rank}Q")
         data = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise CompatibilityError(f"{path}: tensor {name!r} holds "
+                                     f"non-finite values")
         params[name] = Tensor(data.reshape(dims).copy())
     reader.finish()
     return params, metadata

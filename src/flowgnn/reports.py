@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,18 +136,15 @@ def summary_text(report: MetricsReport, vocab: LabelVocabulary,
 
 
 def write_report_files(report: MetricsReport, vocab: LabelVocabulary,
-                       out_dir: Path, run_id: str, title: str,
+                       path: Callable[[str, str], Path], title: str,
                        window_seconds: Sequence[float] = ()) -> dict:
     """Emit the full deterministic report set plus the timing side file,
-    which also summarises the per-window detection latency of `evaluate`."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "metrics": out_dir / f"metrics-{run_id}.csv",
-        "confusion": out_dir / f"confusion-{run_id}.csv",
-        "confusion_normalized": out_dir / f"confusion_normalized-{run_id}.csv",
-        "summary": out_dir / f"summary-{run_id}.txt",
-        "timing": out_dir / f"timing-{run_id}.csv",
-    }
+    which also summarises the per-window detection latency of `evaluate`.
+    `path(stem, suffix)` names each file, in an existing directory."""
+    paths = {stem: path(stem, suffix) for stem, suffix in (
+        ("metrics", ".csv"), ("confusion", ".csv"),
+        ("confusion_normalized", ".csv"), ("summary", ".txt"),
+        ("timing", ".csv"))}
     write_metrics_csv(report, paths["metrics"])
     write_confusion_csv(report, vocab, paths["confusion"], normalized=False)
     write_confusion_csv(report, vocab, paths["confusion_normalized"],

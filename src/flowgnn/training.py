@@ -11,6 +11,7 @@ chronologically last prediction.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -29,6 +30,11 @@ from .windows import GraphBuildConfig, TemporalGraph
 
 class EmptyDataError(ValueError):
     """A split or target window set contains no usable flows."""
+
+
+class DivergenceError(ValueError):
+    """A training step's loss is not finite, so its learning rate is too
+    high for the data."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +157,9 @@ def fit(params: Mapping[str, Tensor], epochs: int, lr: float,
     (loss, weight, stats) per optimizer step. An epoch's log entry holds
     the weight-averaged loss and stats, plus `val_macro_f1 = score(params)`
     when `score` is given; the parameters of the first epoch with the
-    highest score come back (the final parameters without `score`)."""
+    highest score come back (the final parameters without `score`). A
+    non-finite loss raises DivergenceError before its step updates any
+    parameter."""
     state = AdamState(lr=lr)
     log: list[dict] = []
     best, best_score = params, -1.0
@@ -159,12 +167,17 @@ def fit(params: Mapping[str, Tensor], epochs: int, lr: float,
     for epoch in range(epochs):
         sums: dict[str, float] = {}
         total = 0
-        for loss, weight, stats in steps(epoch):
+        for step, (loss, weight, stats) in enumerate(steps(epoch)):
+            loss_value = loss.item()
+            if not math.isfinite(loss_value):
+                raise DivergenceError(
+                    f"training diverged: loss {loss_value} at epoch {epoch}, "
+                    f"step {step}; lower the learning rate")
             zero_grads(params)
             loss.backward()
             adam_step(params, {name: p.grad for name, p in params.items()},
                       state)
-            for key, value in {"loss": loss.item(), **stats}.items():
+            for key, value in {"loss": loss_value, **stats}.items():
                 sums[key] = sums.get(key, 0.0) + value * weight
             total += weight
         entry = {"epoch": epoch, **{k: v / total for k, v in sums.items()}}

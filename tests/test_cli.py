@@ -1,15 +1,17 @@
 import re
+import struct
 from pathlib import Path
 
 import pytest
 
 from conftest import mk_flow, records_to_csv, write_schema
 from flowgnn import experiments
-from flowgnn.cli import DEFAULTS, main
+from flowgnn.cli import DEFAULTS, main, parse_kv_file
 from flowgnn.ingest import (build_label_vocabulary, fit_codec, read_flow_cache,
                             write_flow_cache)
 from flowgnn.model import (ModelConfig, build_metadata, init_params,
-                           save_checkpoint)
+                           load_checkpoint, save_checkpoint)
+from flowgnn.reports import run_id_for
 from flowgnn.synth import temporal_pattern
 from flowgnn.tensor import Rng
 from flowgnn.windows import GraphBuildConfig
@@ -51,6 +53,20 @@ def write_scratch_checkpoint(cache, path, edit_metadata):
     edit_metadata(metadata)
     save_checkpoint(params, metadata, path)
     return path
+
+
+def assert_run_identity(out_dir, command, own):
+    """The run's resolved config adds exactly `io.out_dir`, `run.command`
+    and the command's `own` keys to the config keys, and every output file
+    name ends in the run id of that config text and seed."""
+    resolved = next(out_dir.glob("config-*.resolved"))
+    values = parse_kv_file(resolved)
+    assert {k: v for k, v in values.items() if k not in DEFAULTS} == {
+        "io.out_dir": str(out_dir), "run.command": command, **own}
+    run_id = run_id_for(resolved.read_text(encoding="utf-8"),
+                        int(values["seed"]))
+    for path in out_dir.iterdir():
+        assert path.stem.endswith(f"-{run_id}"), path.name
 
 
 class TestIngest:
@@ -156,6 +172,19 @@ class TestTrain:
         files = {p.name.split("-")[0] for p in out_dir.iterdir()}
         assert {"checkpoint", "metrics", "confusion", "summary", "config",
                 "epochs", "timing"} <= files
+        assert_run_identity(out_dir, "train", {"io.cache": str(cache)})
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_diverging_run_exit_two_writes_nothing(self, tmp_path, cache,
+                                                   capsys, command):
+        out_dir = tmp_path / "run"
+        assert main([command, "--cache", str(cache), "--out-dir",
+                     str(out_dir), *FAST, "--set", f"{command}.lr=1e300"]) \
+            == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: training diverged: loss \S+ at epoch 0, "
+                         r"step \d+; lower the learning rate", err)
+        assert not out_dir.exists()
 
     def test_rerun_byte_identical_checkpoints_and_reports(self, tmp_path,
                                                           cache):
@@ -320,6 +349,13 @@ class TestFinetuneEvaluate:
         assert main(["evaluate", "--checkpoint", str(fine_ckpt), "--cache",
                      str(cache), "--out-dir", str(eval_dir)]) == 0
         assert next(eval_dir.glob("metrics-*.csv")).exists()
+        assert_run_identity(pre_dir, "pretrain", {
+            "io.caches": str(cache), "pretrain.mode": "in-context",
+            "pretrain.target": "-"})
+        assert_run_identity(fine_dir, "finetune", {
+            "io.cache": str(cache), "io.from_checkpoint": str(ckpt)})
+        assert_run_identity(eval_dir, "evaluate", {
+            "io.cache": str(cache), "io.checkpoint": str(fine_ckpt)})
 
     def test_evaluate_timing_holds_window_latency(self, tmp_path, cache):
         train_dir = tmp_path / "t"
@@ -368,6 +404,22 @@ class TestFinetuneEvaluate:
                      str(cache), "--out-dir", str(tmp_path / "e")])
         assert code == 2
         assert f"truncated {kind}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_evaluate_non_finite_tensor_exit_three(self, tmp_path, cache,
+                                                   capsys, value):
+        ckpt = write_scratch_checkpoint(cache, tmp_path / "ok.pptg",
+                                        lambda meta: None)
+        last = sorted(load_checkpoint(ckpt)[0])[-1]
+        # the payload of the last tensor in name order ends the file
+        ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", value))
+        out_dir = tmp_path / "e"
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--cache",
+                     str(cache), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert f"error: {ckpt}: tensor {last!r} holds non-finite values" \
+            in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_pretrain_log_reports_shortfall(self, tmp_path):
         # one flow from a to a: every spatial block is complete, so none of
@@ -439,6 +491,7 @@ class TestHarnessCommands:
         assert rows[1].startswith("spatial_only,")
         assert rows[2].startswith("temporal,")
         assert rows[3].startswith("pretrained,")
+        assert_run_identity(out_dir, "ablate", {"io.cache": str(cache)})
 
     def test_ablate_passes_negative_ratio(self, tmp_path, cache,
                                           monkeypatch):
@@ -468,6 +521,8 @@ class TestHarnessCommands:
         timing = next(out_dir.glob("fewshot_timing-*.csv")) \
             .read_text().splitlines()
         assert len(timing) == len(rows)
+        assert_run_identity(out_dir, "fewshot", {"io.cache": str(cache),
+                                                 "io.pretrain_caches": ""})
 
     def test_fewshot_fine_tunes_with_train_batch_size(self, tmp_path, cache,
                                                       monkeypatch):
@@ -492,3 +547,40 @@ class TestHarnessCommands:
                      str(tmp_path / "x"), *FAST,
                      "--set", "fewshot.modes=out-of-context"])
         assert code == 2
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command,option", [("ingest", "--input"),
+                                                ("train", "--cache"),
+                                                ("evaluate", "--checkpoint")])
+    def test_directory_for_file_exit_two_names_it(self, tmp_path, cache,
+                                                  capsys, command, option):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {"ingest": ["--schema", str(write_schema(tmp_path / "s.txt")),
+                           "--out", str(tmp_path / "x.pptf")],
+                "train": ["--out-dir", str(tmp_path / "o")],
+                "evaluate": ["--cache", str(cache),
+                             "--out-dir", str(tmp_path / "o")]}[command]
+        assert main([command, option, str(folder), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "x.pptf").exists()
+
+    @pytest.mark.parametrize("option", ["--schema", "--config"])
+    def test_invalid_utf8_key_value_file_exit_two_names_file(
+            self, tmp_path, cache, capsys, option):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"flow_id = id\xff\n")
+        if option == "--schema":
+            csv_path = records_to_csv(temporal_pattern(n_windows=1, seed=2),
+                                      tmp_path / "f.csv")
+            argv = ["ingest", "--input", str(csv_path), "--schema", str(bad),
+                    "--out", str(tmp_path / "x.pptf")]
+        else:
+            argv = ["train", "--cache", str(cache), "--config", str(bad),
+                    "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"error: {bad}: invalid UTF-8 in key-value file at offset 12" \
+            in capsys.readouterr().err

@@ -19,9 +19,9 @@ from flowgnn.model import ModelConfig, copy_params, init_params, prepare_graph
 from flowgnn.pretrain import PretrainConfig
 from flowgnn.synth import feature_pattern, temporal_pattern, topology_pattern
 from flowgnn.tensor import Rng, Tensor
-from flowgnn.training import (EmptyDataError, TrainConfig, chronological_split,
-                              class_weights, evaluate, fit, predict_flows,
-                              train)
+from flowgnn.training import (DivergenceError, EmptyDataError, TrainConfig,
+                              chronological_split, class_weights, evaluate,
+                              fit, predict_flows, train)
 from flowgnn.windows import GraphBuildConfig, build_temporal_graphs
 from reference_ops import mul_const
 from test_message_passing import build_transposes
@@ -239,6 +239,16 @@ class TestFit:
             assert entry["epoch"] == epoch
             assert entry["loss"] == (first * 2 + second * 3) / 5
             assert entry["half"] == pytest.approx(entry["loss"] / 2)
+
+    def test_non_finite_loss_raises_before_its_step(self):
+        params = {"w": Tensor(np.array([1.0, -2.0]))}
+        steps = linear_steps(params, [[1.0, 1.0], [math.inf, 0.0]], [1, 1])
+        with pytest.raises(DivergenceError,
+                           match="loss inf at epoch 0, step 1; lower the "
+                                 "learning rate"):
+            fit(params, 2, 0.1, steps)
+        # only the first, finite step moved the weights
+        assert params["w"].data == pytest.approx([0.9, -2.1])
 
 
 class TestEvaluate:
